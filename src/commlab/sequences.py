@@ -29,8 +29,11 @@ class PowerLog:
             raise DomainError("PowerLog coefficient must be nonnegative")
 
     def terms(self, count: int) -> np.ndarray:
+        """d_1..d_count; extreme exponents give inf or nan, which
+        :class:`WeightSequence` rejects with a DomainError."""
         n = np.arange(1, count + 1, dtype=np.float64)
-        return self.coeff * n ** self.power * np.log(n + 1.0) ** self.log_power
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.coeff * n ** self.power * np.log(n + 1.0) ** self.log_power
 
     # Analytic facts, all by the integral test.
 

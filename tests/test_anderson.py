@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -99,7 +100,6 @@ class TestAssemble:
     def test_shape_violation(self):
         with pytest.raises(numkit.ShapeError):
             anderson.BlockTriDiagonalOperator(
-                diag_blocks=(),
                 super_blocks=(np.zeros((2, 2)),),
                 sub_blocks=(np.zeros((2, 1)),),
             )
@@ -168,6 +168,87 @@ class TestVerifyPositiveCommutator:
         with pytest.raises(DomainError):
             anderson.verify_positive_commutator(SQRT_N, 2)
 
+    def test_large_truncation(self):
+        # Dense dimension 7381: one assembled complex matrix would take
+        # about 870 MB, so only the block path can reach this size.
+        t0 = time.perf_counter()
+        rep = anderson.verify_positive_commutator(SQRT_N, 120)
+        elapsed = time.perf_counter() - t0
+        assert rep.passed and all(row.passed for row in rep.checks)
+        assert rep.details["dimension"] == 7381
+        assert elapsed < 2.0
+
+
+ORACLE_WEIGHTS = {
+    "sqrt": WeightSequence.powerlog(1.0, 0.5, count=31),
+    "log": WeightSequence.powerlog(1.0, 0.0, 1.0, count=31),
+    "cbrt": WeightSequence.powerlog(1.0, 1 / 3, count=31),
+    "constant": WeightSequence.powerlog(1.0, 0.0, 0.0, count=31),
+    "zero": WeightSequence.explicit([0.0] * 31),
+    "non_monotone": WeightSequence.explicit(
+        np.arange(1.0, 32.0) ** 0.5 * (1.5 + np.sin(np.arange(1.0, 32.0)))),
+}
+
+
+def dense_oracle(weights: WeightSequence, block_count: int) -> dict:
+    """Every verifier figure recomputed from the assembled dense commutator."""
+    c, z = anderson.build_modified(weights, block_count)
+    w = numkit.commutator(anderson.assemble(c), anderson.assemble(z))
+    nblocks = block_count + 1
+    start = [k * (k - 1) // 2 for k in range(1, nblocks + 2)]
+    rows = [slice(start[k - 1], start[k]) for k in range(1, nblocks + 1)]
+    predicted = anderson.telescoped_profile(weights.values(nblocks))
+    support = np.zeros(w.shape, dtype=bool)
+    out = dict(means=np.empty(nblocks), diag=0.0, boundary=0.0,
+               shift=0.0, boundary_shift=0.0)
+    for k in range(1, nblocks + 1):
+        s = rows[k - 1]
+        support[s, s] = True
+        out["means"][k - 1] = np.diag(w[s, s]).real.mean()
+        dev = np.abs(w[s, s] - predicted[k - 1] * np.eye(k)).max()
+        key = "diag" if k <= nblocks - 2 else "boundary"
+        out[key] = max(out[key], dev)
+    for k in range(1, nblocks - 1):
+        r, s = rows[k - 1], rows[k + 1]
+        support[r, s] = support[s, r] = True
+        mass = max(np.abs(w[r, s]).max(), np.abs(w[s, r]).max())
+        key = "shift" if k + 2 <= nblocks - 2 else "boundary_shift"
+        out[key] = max(out[key], mass)
+    out["off_support"] = np.abs(w[~support]).max()
+    return out
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_WEIGHTS))
+    @pytest.mark.parametrize("block_count", range(3, 31))
+    def test_block_path_matches_dense_commutator(self, name, block_count):
+        weights = ORACLE_WEIGHTS[name]
+        rep = anderson.verify_positive_commutator(weights, block_count)
+        dense = dense_oracle(weights, block_count)
+        tol = 1e-13 * (1.0 + np.abs(weights.values(block_count + 1)).max())
+        # The pentadiagonal support is exact, which is what lets the
+        # verifier report off_tridiagonal_mass as structural.
+        assert dense["off_support"] == 0.0
+        measured = {row.name: row.measured for row in rep.checks}
+        assert measured == {
+            "off_tridiagonal_mass": 0.0,
+            "interior_shift_mass": pytest.approx(dense["shift"], abs=tol),
+            "interior_diagonal_residual": pytest.approx(dense["diag"], abs=tol),
+        }
+        assert np.abs(rep.details["block_means"] - dense["means"]).max() <= tol
+        assert rep.details["boundary_residual"] == pytest.approx(dense["boundary"], abs=tol)
+        assert rep.details["boundary_shift_mass"] == pytest.approx(
+            dense["boundary_shift"], abs=tol)
+        assert rep.details["dimension"] == (block_count + 1) * (block_count + 2) // 2
+
+    def test_never_assembles(self, monkeypatch):
+        def dense_path(*args):
+            raise AssertionError("verifier took the dense path")
+
+        monkeypatch.setattr(numkit, "commutator", dense_path)
+        monkeypatch.setattr(anderson, "assemble", dense_path)
+        assert anderson.verify_positive_commutator(SQRT_N, 12).passed
+
 
 class TestAdmissible:
     def test_sqrt_admissible(self):
@@ -209,9 +290,3 @@ class TestEigenvalueProfile:
     def test_unknown_parameterization(self):
         with pytest.raises(DomainError):
             anderson.eigenvalue_profile(CONST, "nope", 3)
-
-    def test_cesaro_companion(self):
-        assert anderson.cesaro_mean_vanishes(SQRT_N) is False
-        decaying = WeightSequence.powerlog(1.0, -0.5, count=8)
-        assert anderson.cesaro_mean_vanishes(decaying) is True
-        assert anderson.cesaro_mean_vanishes(WeightSequence.explicit([1.0])) is None

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ class TestAndersonCommand:
             "--blocks", "6", "--out-dir", str(tmp_path),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("family", ["powerlog:1,-400,0", "powerlog:0,-400,0"])
+    def test_overflowing_weights_rejected_quietly(self, tmp_path, capsys, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "anderson-verify", "--weights", family, "--out-dir", str(tmp_path),
+            ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_bad_weight_grammar(self, tmp_path):
         code = main([
