@@ -28,7 +28,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--restarts", type=int, default=50)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="minimum_search.csv")
     args = parser.parse_args()
 
@@ -37,7 +36,7 @@ def main() -> int:
         cfg = minimize.MinimizeConfig(target=target, restarts=args.restarts,
                                       seed=args.seed)
         t0 = time.perf_counter()
-        res = minimize.minimize_commutator(cfg, workers=args.workers)
+        res = minimize.minimize_commutator(cfg)
         dt = time.perf_counter() - t0
         print(f"{name}: objective={res.objective:.9f} known={known:.9f} "
               f"bound={res.lower_bound:.9f} feas={res.feasibility:.2e} "
@@ -49,6 +48,8 @@ def main() -> int:
                 "iters": t.iterations,
                 "feasibility": t.feasibility,
                 "objective": t.objective,
+                "stop_reason": t.stop_reason,
+                "converged": int(t.converged),
             })
 
     with open(args.out, "w", newline="") as handle:

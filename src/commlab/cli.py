@@ -37,10 +37,10 @@ formats:
                    explicit:PATH    terms read from a value file
   config file      line-oriented "key = value"; blank lines and lines
                    starting with '#' are ignored; keys: command, seed,
-                   parallelism, output_dir, input, target, out, report,
-                   weights, blocks, type, selfadjoint, action, n, family,
-                   restarts, max_iters, tol.NAME; unknown or duplicate
-                   keys are rejected
+                   output_dir, input, target, out, report, weights,
+                   blocks, type, selfadjoint, action, n, family, restarts,
+                   max_iters, tol.NAME; unknown or duplicate keys are
+                   rejected
 environment:
   COMMLAB_SEED     overrides the configured seed
 """
@@ -60,7 +60,6 @@ class RunConfig:
     output_dir: str = "."
     tolerances: dict[str, float] = field(default_factory=dict)
     seed: int = 0
-    parallelism: int = 1
     weights: str | None = None
     blocks: int = 8
     solver_type: str | None = None
@@ -73,7 +72,7 @@ class RunConfig:
 
 
 _COMMANDS = ("anderson-verify", "staircase", "solve-selfcomm", "lie", "minimize", "seq")
-_INT_KEYS = {"seed", "parallelism", "blocks", "n", "restarts", "max_iters"}
+_INT_KEYS = {"seed", "blocks", "n", "restarts", "max_iters"}
 _BOOL_KEYS = {"selfadjoint"}
 _STR_KEYS = {"command", "output_dir", "input", "target", "out", "report",
              "weights", "type", "action", "family"}
@@ -304,7 +303,7 @@ def _run_minimize(cfg: RunConfig) -> SolveReport:
     mcfg = minimize.MinimizeConfig(
         target=target, restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed
     )
-    result = minimize.minimize_commutator(mcfg, workers=max(1, cfg.parallelism))
+    result = minimize.minimize_commutator(mcfg)
     rep = SolveReport(command="minimize")
     rep.check("feasibility", result.feasibility, minimize.FEASIBILITY_TOL)
     rep.info("objective", result.objective)
@@ -314,11 +313,13 @@ def _run_minimize(cfg: RunConfig) -> SolveReport:
               passed=(not result.certified)
               or result.objective >= result.lower_bound - 1e-6)
     rows = [
-        (t.restart, t.iterations, t.feasibility, t.objective)
+        (t.restart, t.iterations, t.feasibility, t.objective, t.stop_reason,
+         int(t.converged))
         for t in result.restarts
     ]
     _write_text(rep, cfg, "restarts.csv",
-                _csv_text(("restart", "iters", "feasibility", "objective"), rows),
+                _csv_text(("restart", "iters", "feasibility", "objective",
+                           "stop_reason", "converged"), rows),
                 cfg.out)
     _write_matrix(rep, cfg, "best_a.txt", result.best_a)
     _write_matrix(rep, cfg, "best_b.txt", result.best_b)
@@ -410,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out-dir", default=".", help="artifact directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--parallelism", type=int, default=1)
         p.add_argument("--report", default=None, help="report CSV path")
         p.add_argument("--tol", action="append", default=[],
                        metavar="NAME=VALUE", help="tolerance override")
@@ -461,7 +461,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.output_dir = getattr(args, "out_dir", ".")
     cfg.seed = getattr(args, "seed", 0)
-    cfg.parallelism = getattr(args, "parallelism", 1)
     cfg.report_path = getattr(args, "report", None)
     for item in getattr(args, "tol", []):
         name, _, value = item.partition("=")

@@ -5,17 +5,20 @@ use sites here) by multi-restart gradient descent on the penalty objective
 
     f(A, B) = ||A||_F^2 + ||B||_F^2 + mu ||AB - BA - target||_F^2
 
-with an increasing penalty schedule.  After convergence the pair is rescaled
-so ||A||_F = ||B||_F, which leaves the commutator unchanged; the reported
-objective is then ||A||_F.  The universal certificate
-||A||_F >= sqrt(||target||_tr / 2) bounds every feasible value from below.
+with an increasing penalty schedule.  All restarts run as one descent over
+stacked (R, d, d) arrays; each restart keeps its own penalty weight, step
+and line-search state, and every per-restart quantity is a reduction over
+the last two axes, so restart r's result depends only on (seed, r).  After
+the descent each pair is rescaled so ||A||_F = ||B||_F, which leaves the
+commutator unchanged; the reported objective is then ||A||_F.  The
+universal certificate ||A||_F >= sqrt(||target||_tr / 2) bounds every
+feasible value from below.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +30,16 @@ from .report import SolveReport
 FEASIBILITY_TOL = 1e-6
 CONVERGENCE_GTOL = 1e-8
 CONVERGENCE_FEAS = 1e-8
+MU_START = 10.0
 MU_MAX = 1e9
 OBJECTIVE_TIE = 1e-12
+ARMIJO_MEMORY = 10
+STAGNATION_ITERS = 50
+MAX_HALVINGS = 60
+
+#: Exits of a descent stage; a restart's ``stop_reason`` is its last one.
+STOP_REASONS = ("gtol", "stagnation", "linesearch", "budget")
+_GTOL, _STAGNATION, _LINESEARCH, _BUDGET = range(len(STOP_REASONS))
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -65,8 +76,13 @@ def lower_bound_certificate(target) -> float:
     return math.sqrt(numkit.trace_norm(target) / 2.0)
 
 
-def penalty_gradient(a, b, target, mu: float
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
+def _inner(x, y) -> np.ndarray:
+    """Re <x, y> over the last two axes of C-contiguous complex arrays."""
+    return np.add.reduce(x.view(np.float64) * y.view(np.float64), axis=(-2, -1))
+
+
+def penalty_gradient(a, b, target, mu
+                     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Value and gradients of the penalty objective.
 
     With R = AB - BA - target:
@@ -76,24 +92,28 @@ def penalty_gradient(a, b, target, mu: float
         gB    = 2B + 2 mu (A* R - R A*)
 
     Gradients follow the convention g_ij = d/dRe + i d/dIm, so they match
-    central finite differences entrywise.
+    central finite differences entrywise.  A and B are one (d, d) pair, or
+    a stack of R pairs (R, d, d) with a scalar mu or one mu per slice; the
+    value is then an array of R values.  The target is one (d, d) matrix.
     """
-    a = numkit.as_square(a)
-    b = numkit.as_square(b)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    b = np.ascontiguousarray(b, dtype=np.complex128)
     target = numkit.as_square(target)
-    if not a.shape == b.shape == target.shape:
-        raise numkit.ShapeError("A, B and target must share one square shape")
+    if a.ndim not in (2, 3) or a.shape != b.shape or a.shape[-2:] != target.shape:
+        raise numkit.ShapeError(
+            "A and B must share one (d, d) or (R, d, d) shape matching the target"
+        )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("A and B must be finite")
+    mu = np.asarray(mu, dtype=np.float64)
     r = a @ b - b @ a - target
-    value = (
-        float(np.linalg.norm(a)) ** 2
-        + float(np.linalg.norm(b)) ** 2
-        + mu * float(np.linalg.norm(r)) ** 2
-    )
-    bh = b.conj().T
-    ah = a.conj().T
-    ga = 2.0 * a + 2.0 * mu * (r @ bh - bh @ r)
-    gb = 2.0 * b + 2.0 * mu * (ah @ r - r @ ah)
-    return ga, gb, value
+    value = _inner(a, a) + _inner(b, b) + mu * _inner(r, r)
+    bh = b.conj().swapaxes(-1, -2)
+    ah = a.conj().swapaxes(-1, -2)
+    weight = mu[..., None, None]
+    ga = 2.0 * a + 2.0 * weight * (r @ bh - bh @ r)
+    gb = 2.0 * b + 2.0 * weight * (ah @ r - r @ ah)
+    return ga, gb, float(value) if a.ndim == 2 else value
 
 
 @dataclass
@@ -103,8 +123,6 @@ class MinimizeConfig:
     target: np.ndarray
     restarts: int = 50
     max_iters: int = 20000
-    penalty_weight: float = 10.0
-    step_rule: str = "backtracking"
     seed: int = 0
     dimension: int = field(init=False)
 
@@ -114,18 +132,25 @@ class MinimizeConfig:
         scale = numkit.hs_norm(self.target)
         if abs(complex(np.trace(self.target))) > 1e-9 * (1.0 + scale):
             raise DomainError("target must be traceless")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise DomainError(f"unknown step rule {self.step_rule!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise DomainError("restarts and max_iters must be positive")
 
 
 @dataclass(frozen=True)
 class RestartTrace:
+    """One restart's outcome.
+
+    ``stop_reason`` is the exit of its last descent stage (one of
+    ``STOP_REASONS``).  ``converged`` means the balanced pair is feasible at
+    ``FEASIBILITY_TOL`` and that stage ended on the gradient test or on
+    stagnation, not on the iteration budget or a failed line search.
+    """
+
     restart: int
     iterations: int
     feasibility: float
     objective: float
+    stop_reason: str
     converged: bool
 
 
@@ -146,148 +171,176 @@ class MinimizeResult:
     restarts: list[RestartTrace]
 
 
-def _value(a, b, target, mu):
+def _value(a, b, target, mu) -> np.ndarray:
+    """Penalty values of a stack of pairs, as ``penalty_gradient`` computes them."""
     r = a @ b - b @ a - target
-    return (
-        float(np.linalg.norm(a)) ** 2
-        + float(np.linalg.norm(b)) ** 2
-        + mu * float(np.linalg.norm(r)) ** 2
-    )
+    return _inner(a, a) + _inner(b, b) + mu * _inner(r, r)
 
 
-def _descend(a, b, target, mu, budget, gtol, step, step_rule):
-    """Gradient descent stage at fixed mu; returns updated state.
-
-    Backtracking halves the trial step until an Armijo decrease holds.  The
-    trial step is seeded with the Barzilai-Borwein quotient from the last
-    accepted move and the Armijo reference is the largest of the last few
-    values (non-monotone), which copes with the stiff curvature the penalty
-    term develops as mu grows.
-    """
-    used = 0
-    gnorm = math.inf
-    prev: tuple | None = None
-    fhist: list[float] = []
-    fbest = math.inf
-    since_improved = 0
-    while used < budget:
-        ga, gb, f = penalty_gradient(a, b, target, mu)
-        gsq = float(np.linalg.norm(ga)) ** 2 + float(np.linalg.norm(gb)) ** 2
-        gnorm = math.sqrt(gsq)
-        if gnorm <= gtol:
-            break
-        if f < fbest:
-            fbest = f
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= 50:
-                break
-        used += 1
-        if step_rule == "fixed":
-            na, nb = a - step * ga, b - step * gb
-            if not (np.isfinite(na).all() and np.isfinite(nb).all()):
-                break
-            a, b = na, nb
-            continue
-        if prev is not None:
-            pa, pb, pga, pgb = prev
-            dga, dgb = ga - pga, gb - pgb
-            da, db = a - pa, b - pb
-            ss = float(np.vdot(da, da).real + np.vdot(db, db).real)
-            sy = float(np.vdot(da, dga).real + np.vdot(db, dgb).real)
-            if sy > 0.0 and math.isfinite(sy):
-                step = min(max(ss / sy, 1e-14), 1e6)
-        fhist.append(f)
-        if len(fhist) > 10:
-            fhist.pop(0)
-        fref = max(fhist)
-        t = step
-        accepted = False
-        for _ in range(60):
-            fa = _value(a - t * ga, b - t * gb, target, mu)
-            if fa <= fref - 1e-4 * t * gsq:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        prev = (a, b, ga, gb)
-        a = a - t * ga
-        b = b - t * gb
-        step = t
-    return a, b, used, gnorm, step
-
-
-def _run_restart(args) -> tuple[RestartTrace, np.ndarray, np.ndarray]:
-    (target, seed, restart, max_iters, mu0, step_rule) = args
+def _initial_pair(target, seed: int, restart: int, lb: float):
+    """Restart ``restart``'s random start, scaled to the certificate ``lb``."""
     dim = target.shape[0]
-    lb = lower_bound_certificate(target)
     rng = np.random.default_rng([seed, restart])
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     if lb > 0.0:
-        a *= lb / np.linalg.norm(a)
-        b *= lb / np.linalg.norm(b)
-    else:
-        a = np.zeros_like(a)
-        b = np.zeros_like(b)
+        return a * (lb / np.linalg.norm(a)), b * (lb / np.linalg.norm(b))
+    return np.zeros_like(a), np.zeros_like(b)
 
-    mu = mu0
-    iters = 0
-    step = 1e-2
-    gnorm = math.inf
-    converged = False
-    while iters < max_iters:
-        a, b, used, gnorm, step = _descend(
-            a, b, target, mu, max_iters - iters, CONVERGENCE_GTOL, step, step_rule
-        )
-        iters += used
-        feas = float(np.linalg.norm(a @ b - b @ a - target))
-        if feas <= CONVERGENCE_FEAS and gnorm <= CONVERGENCE_GTOL:
-            converged = True
-            break
-        if mu >= MU_MAX:
-            break
-        mu *= 10.0
-        step = min(step, 0.1 / mu)
 
-    # Scalar balancing: (A, B) -> (cA, B/c) keeps AB - BA and equalizes the
-    # two Hilbert-Schmidt norms.
+def _descend(a, b, target, max_iters: int):
+    """Penalty descent of a stack of restarts; returns (a, b, iters, reasons).
+
+    Each restart runs stages of gradient descent at fixed mu, starting at
+    ``MU_START`` and moving to 10 mu on its own when a stage ends, until a
+    stage ends feasible at ``CONVERGENCE_FEAS`` on the gradient test, mu
+    reaches ``MU_MAX`` or ``max_iters`` steps are spent.  A stage ends on
+    the gradient test, after ``STAGNATION_ITERS`` steps without a new best
+    value, when ``MAX_HALVINGS`` halvings find no Armijo decrease, or when
+    the budget runs out.  The trial step is the Barzilai-Borwein quotient of
+    the last accepted move and the Armijo reference is the largest of the
+    last ``ARMIJO_MEMORY`` values (Grippo-Lampariello-Lucidi non-monotone
+    search), which copes with the stiff curvature the penalty term develops
+    as mu grows.  Finished restarts drop out of the active index set, and
+    each backtracking round evaluates only the restarts still searching.
+    """
+    a, b = a.copy(), b.copy()
+    count = a.shape[0]
+    mu = np.full(count, MU_START)
+    step = np.full(count, 1e-2)
+    iters = np.zeros(count, dtype=np.int64)
+    reasons = np.zeros(count, dtype=np.int64)
+    done = np.zeros(count, dtype=bool)
+    # Stage state, reset when a restart moves to the next mu: the previous
+    # accepted point and gradient (for the BB quotient), the Armijo memory
+    # and the stagnation counter.
+    has_prev = np.zeros(count, dtype=bool)
+    prev_a, prev_b = np.zeros_like(a), np.zeros_like(b)
+    prev_ga, prev_gb = np.zeros_like(a), np.zeros_like(b)
+    fhist = np.full((count, ARMIJO_MEMORY), -np.inf)
+    nhist = np.zeros(count, dtype=np.int64)
+    fbest = np.full(count, np.inf)
+    since = np.zeros(count, dtype=np.int64)
+
+    active = np.arange(count)
+    while active.size:
+        ga, gb, f = penalty_gradient(a[active], b[active], target, mu[active])
+        gsq = _inner(ga, ga) + _inner(gb, gb)
+        flat = np.sqrt(gsq) <= CONVERGENCE_GTOL
+        improved = f < fbest[active]
+        fbest[active] = np.where(improved, f, fbest[active])
+        since[active] = np.where(improved, 0, since[active] + 1)
+        stalled = ~flat & (since[active] >= STAGNATION_ITERS)
+        ended = [(active[flat], _GTOL), (active[stalled], _STAGNATION)]
+        moving = ~(flat | stalled)
+        run = active[moving]
+        ra, rb = a[run], b[run]
+        ga, gb, f, gsq = ga[moving], gb[moving], f[moving], gsq[moving]
+        iters[run] += 1
+
+        bb = np.flatnonzero(has_prev[run])
+        if bb.size:
+            rows = run[bb]
+            da, db = ra[bb] - prev_a[rows], rb[bb] - prev_b[rows]
+            ss = _inner(da, da) + _inner(db, db)
+            sy = _inner(da, ga[bb] - prev_ga[rows]) + _inner(db, gb[bb] - prev_gb[rows])
+            ok = (sy > 0.0) & np.isfinite(sy)
+            step[rows[ok]] = np.clip(ss[ok] / sy[ok], 1e-14, 1e6)
+        fhist[run, nhist[run] % ARMIJO_MEMORY] = f
+        nhist[run] += 1
+        fref = fhist[run].max(axis=1)
+
+        t = step[run]
+        muv = mu[run]
+        accepted = np.zeros(run.size, dtype=bool)
+        trial = np.arange(run.size)
+        for _ in range(MAX_HALVINGS):
+            tt = t[trial, None, None]
+            fa = _value(ra[trial] - tt * ga[trial], rb[trial] - tt * gb[trial],
+                        target, muv[trial])
+            ok = fa <= fref[trial] - 1e-4 * t[trial] * gsq[trial]
+            accepted[trial[ok]] = True
+            trial = trial[~ok]
+            if not trial.size:
+                break
+            t[trial] *= 0.5
+        ended.append((run[~accepted], _LINESEARCH))
+
+        moved = run[accepted]
+        ra, rb, ga, gb = ra[accepted], rb[accepted], ga[accepted], gb[accepted]
+        prev_a[moved], prev_b[moved] = ra, rb
+        prev_ga[moved], prev_gb[moved] = ga, gb
+        has_prev[moved] = True
+        t = t[accepted]
+        a[moved] = ra - t[:, None, None] * ga
+        b[moved] = rb - t[:, None, None] * gb
+        step[moved] = t
+        ended.append((moved[iters[moved] >= max_iters], _BUDGET))
+
+        rows = np.concatenate([r for r, _ in ended])
+        if rows.size:
+            why = np.concatenate([np.full(r.size, code) for r, code in ended])
+            reasons[rows] = why
+            ea, eb = a[rows], b[rows]
+            res = ea @ eb - eb @ ea - target
+            solved = (why == _GTOL) & (np.sqrt(_inner(res, res)) <= CONVERGENCE_FEAS)
+            stop = solved | (mu[rows] >= MU_MAX) | (iters[rows] >= max_iters)
+            done[rows[stop]] = True
+            nxt = rows[~stop]
+            mu[nxt] *= 10.0
+            step[nxt] = np.minimum(step[nxt], 0.1 / mu[nxt])
+            has_prev[nxt] = False
+            fhist[nxt] = -np.inf
+            nhist[nxt] = 0
+            fbest[nxt] = np.inf
+            since[nxt] = 0
+        active = np.flatnonzero(~done)
+    return a, b, iters, reasons
+
+
+def _balanced_trace(restart, a, b, target, iterations, reason):
+    """Balance one pair and record its trace.
+
+    Scalar balancing (A, B) -> (cA, B/c) keeps AB - BA and equalizes the
+    two Hilbert-Schmidt norms.
+    """
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na > 0.0 and nb > 0.0:
         c = math.sqrt(nb / na)
         a = c * a
         b = b / c
     feas = float(np.linalg.norm(a @ b - b @ a - target))
+    stop_reason = STOP_REASONS[reason]
     trace = RestartTrace(
         restart=restart,
-        iterations=iters,
+        iterations=int(iterations),
         feasibility=feas,
         objective=float(np.linalg.norm(a)),
-        converged=converged,
+        stop_reason=stop_reason,
+        converged=feas <= FEASIBILITY_TOL and stop_reason in ("gtol", "stagnation"),
     )
     return trace, a, b
 
 
-def minimize_commutator(config: MinimizeConfig, workers: int = 1) -> MinimizeResult:
+def minimize_commutator(config: MinimizeConfig) -> MinimizeResult:
     """Multi-restart penalty descent; returns the best feasible pair.
 
-    Restarts are independent (seeded per index) and may run in parallel;
-    the merge keeps the smallest feasible objective, ties within 1e-12
-    going to the lowest restart index.  When no restart reaches feasibility
-    1e-6 the result is returned with ``certified=False`` instead of raising.
+    Restarts are seeded per index and descend together as one stack; the
+    merge keeps the smallest feasible objective, ties within 1e-12 going to
+    the lowest restart index.  When no restart reaches feasibility 1e-6 the
+    result is returned with ``certified=False`` instead of raising.
     """
-    jobs = [
-        (config.target, config.seed, r, config.max_iters,
-         config.penalty_weight, config.step_rule)
+    target = config.target
+    lb = lower_bound_certificate(target)
+    starts = [_initial_pair(target, config.seed, r, lb) for r in range(config.restarts)]
+    a, b, iters, reasons = _descend(
+        np.stack([s[0] for s in starts]), np.stack([s[1] for s in starts]),
+        target, config.max_iters,
+    )
+    outcomes = [
+        _balanced_trace(r, a[r], b[r], target, iters[r], reasons[r])
         for r in range(config.restarts)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_restart, jobs))
-    else:
-        outcomes = [_run_restart(job) for job in jobs]
 
     traces = [t for t, _, _ in outcomes]
     best = None
@@ -308,7 +361,7 @@ def minimize_commutator(config: MinimizeConfig, workers: int = 1) -> MinimizeRes
         best_b=b,
         objective=trace.objective,
         feasibility=trace.feasibility,
-        lower_bound=lower_bound_certificate(config.target),
+        lower_bound=lb,
         certified=bool(feasible),
         restarts=traces,
     )

@@ -26,7 +26,6 @@ class TestParseConfig:
         assert cfg.command == "minimize"
         assert cfg.seed == 7
         assert cfg.restarts == 50
-        assert cfg.parallelism == 1
 
     def test_duplicate_key_names_line(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -39,6 +38,12 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("command = seq\nbogus = 1\n")
+
+    def test_parallelism_is_an_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "job.cfg"
+        config.write_text("command = minimize\nparallelism = 2\n")
+        assert main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "unknown key 'parallelism'" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="unknown command"):
@@ -199,8 +204,11 @@ class TestMinimizeCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
         with open(tmp_path / "restarts.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == ["restart", "iters", "feasibility", "objective",
+                                     "stop_reason", "converged"]
+        assert [(r["stop_reason"], r["converged"]) for r in rows] == [("gtol", "1")] * 2
         assert (tmp_path / "best_a.txt").exists()
 
     def test_budget_exhaustion_exits_4(self, tmp_path):
@@ -209,6 +217,18 @@ class TestMinimizeCommand:
         code = main(["minimize", "--target", str(target), "--restarts", "1",
                      "--max-iters", "2", "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_NUMERIC
+        with open(tmp_path / "restarts.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["iters"], r["stop_reason"], r["converged"]) for r in rows] == [
+            ("2", "budget", "0")]
+
+    def test_parallelism_flag_removed(self, tmp_path, capsys):
+        target = tmp_path / "T.txt"
+        matio.save_matrix(target, np.diag([1.0, -1.0]))
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--target", str(target), "--parallelism", "2",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_CONFIG
 
 
 class TestSeqCommand:

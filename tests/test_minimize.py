@@ -6,6 +6,7 @@ import pytest
 from commlab import minimize, numkit
 from commlab.numkit import DomainError
 from conftest import random_complex
+import minimize_oracle
 
 
 def central_difference_gradients(a, b, target, mu, h=1e-6):
@@ -73,6 +74,43 @@ class TestPenaltyGradient:
         )
         assert np.abs(ga - 2 * minimize.OPTIMAL_A).max() <= 1e-6
 
+    def test_stacked_matches_per_slice_calls(self, rng):
+        for d in (2, 3, 4):
+            a = np.stack([random_complex(rng, d) for _ in range(7)])
+            b = np.stack([random_complex(rng, d) for _ in range(7)])
+            t = random_complex(rng, d)
+            mu = rng.uniform(0.5, 1e4, size=7)
+            ga, gb, value = minimize.penalty_gradient(a, b, t, mu)
+            assert ga.shape == gb.shape == (7, d, d) and value.shape == (7,)
+            for r in range(7):
+                ga1, gb1, v1 = minimize.penalty_gradient(a[r], b[r], t, mu[r])
+                scale = 1.0 + max(np.abs(ga1).max(), np.abs(gb1).max())
+                assert np.abs(ga[r] - ga1).max() / scale <= 1e-14
+                assert np.abs(gb[r] - gb1).max() / scale <= 1e-14
+                assert abs(value[r] - v1) / (1.0 + v1) <= 1e-14
+
+    def test_stacked_finite_difference_oracle(self, rng):
+        d = 3
+        a = np.stack([random_complex(rng, d) for _ in range(4)])
+        b = np.stack([random_complex(rng, d) for _ in range(4)])
+        t = random_complex(rng, d)
+        mu = rng.uniform(0.5, 20.0, size=4)
+        ga, gb, _ = minimize.penalty_gradient(a, b, t, mu)
+        for r in range(4):
+            na, nb = central_difference_gradients(a[r], b[r], t, mu[r])
+            scale = 1.0 + max(np.abs(ga[r]).max(), np.abs(gb[r]).max())
+            assert np.abs(ga[r] - na).max() / scale <= 1e-5
+            assert np.abs(gb[r] - nb).max() / scale <= 1e-5
+
+    def test_shape_mismatch_rejected(self):
+        a = np.zeros((2, 3, 3))
+        with pytest.raises(numkit.ShapeError):
+            minimize.penalty_gradient(a, np.zeros((3, 3, 3)), np.zeros((3, 3)), 1.0)
+        with pytest.raises(numkit.ShapeError):
+            minimize.penalty_gradient(a, a, np.zeros((2, 2)), 1.0)
+        with pytest.raises(numkit.ShapeError):
+            minimize.penalty_gradient(np.zeros(3), np.zeros(3), np.zeros((3, 3)), 1.0)
+
 
 class TestVerifyOptimalPair:
     def test_passes(self):
@@ -106,6 +144,8 @@ class TestMinimizeCommutator:
         assert res.objective == 0.0
         assert res.feasibility == 0.0
         assert res.certified
+        assert [(t.stop_reason, t.converged, t.iterations) for t in res.restarts] == [
+            ("gtol", True, 0), ("gtol", True, 0)]
 
     def test_two_dim_target_reaches_known_minimum(self):
         # [E12, E21] = diag(1, -1) with both norms 1, matching the universal
@@ -118,15 +158,38 @@ class TestMinimizeCommutator:
         assert res.objective == pytest.approx(1.0, abs=1e-4)
         assert res.objective >= res.lower_bound - 1e-6
 
-    def test_deterministic_and_parallel_merge(self):
+    def test_repeated_runs_bit_identical(self):
         cfg = minimize.MinimizeConfig(target=np.diag([1.0, -1.0]), restarts=4, seed=3)
         r1 = minimize.minimize_commutator(cfg)
         r2 = minimize.minimize_commutator(cfg)
         assert (r1.best_a == r2.best_a).all()
+        assert (r1.best_b == r2.best_b).all()
         assert r1.objective == r2.objective
-        r3 = minimize.minimize_commutator(cfg, workers=2)
-        assert (r1.best_a == r3.best_a).all()
-        assert r1.restarts == r3.restarts
+        assert r1.restarts == r2.restarts
+
+    @pytest.mark.parametrize("target", [
+        np.diag([1.0, -1.0]),
+        np.diag([-1.0, 0.5, 0.5]),
+        minimize.OPTIMAL_TARGET,
+    ], ids=["2x2", "3x3", "4x4"])
+    def test_restart_count_gives_bit_identical_prefixes(self, target):
+        # Restart r depends only on (seed, r): a larger stack reproduces a
+        # smaller one's traces, final pairs and best pair bit for bit.
+        target = numkit.as_square(target)
+        lb = minimize.lower_bound_certificate(target)
+        starts = [minimize._initial_pair(target, 2026, r, lb) for r in range(50)]
+        a50, b50, iters50, reasons50 = minimize._descend(
+            np.stack([s[0] for s in starts]), np.stack([s[1] for s in starts]),
+            target, 20000)
+        stacked = [minimize._balanced_trace(r, a50[r], b50[r], target,
+                                            iters50[r], reasons50[r])
+                   for r in range(50)]
+        for n in (1, 10, 50):
+            res = minimize.minimize_commutator(
+                minimize.MinimizeConfig(target=target, restarts=n, seed=2026))
+            assert res.restarts == [t for t, _, _ in stacked[:n]]
+            assert any((a == res.best_a).all() and (b == res.best_b).all()
+                       for _, a, b in stacked[:n])
 
     def test_running_best_never_increases(self):
         cfg = minimize.MinimizeConfig(target=np.diag([1.0, -1.0]), restarts=6, seed=5)
@@ -144,19 +207,54 @@ class TestMinimizeCommutator:
         res = minimize.minimize_commutator(cfg)
         assert not res.certified
         assert res.feasibility > minimize.FEASIBILITY_TOL
-
-    def test_fixed_step_rule_smoke(self):
-        cfg = minimize.MinimizeConfig(
-            target=np.diag([1.0, -1.0]), restarts=1, seed=0,
-            max_iters=200, step_rule="fixed", penalty_weight=1.0,
-        )
-        res = minimize.minimize_commutator(cfg)
-        assert np.isfinite(res.objective)
+        assert [(t.stop_reason, t.converged) for t in res.restarts] == [("budget", False)]
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             minimize.MinimizeConfig(target=np.eye(3))
         with pytest.raises(DomainError):
-            minimize.MinimizeConfig(target=np.zeros((2, 2)), step_rule="newton")
-        with pytest.raises(DomainError):
             minimize.MinimizeConfig(target=np.zeros((2, 2)), restarts=0)
+
+
+class TestScalarOracle:
+    """The stacked descent against one-restart-at-a-time scalar loops."""
+
+    @pytest.mark.parametrize("target", [
+        np.diag([1.0, -1.0]),
+        np.diag([-1.0, 0.5, 0.5]),
+        minimize.OPTIMAL_TARGET,
+    ], ids=["2x2", "3x3", "4x4"])
+    def test_agrees_restart_by_restart(self, target):
+        cfg = minimize.MinimizeConfig(target=target, restarts=8, seed=2026)
+        res = minimize.minimize_commutator(cfg)
+        for trace in res.restarts:
+            want, _, _ = minimize_oracle.run_restart(
+                cfg.target, cfg.seed, trace.restart, cfg.max_iters)
+            assert ((trace.feasibility <= minimize.FEASIBILITY_TOL)
+                    == (want.feasibility <= minimize.FEASIBILITY_TOL))
+            assert abs(trace.objective - want.objective) <= 1e-6
+
+    def test_budget_exit_matches_exactly(self):
+        # Two steps from the same start leave no room for rounding to steer
+        # the two paths apart.
+        target = numkit.as_square(np.diag([1.0, -1.0]))
+        cfg = minimize.MinimizeConfig(target=target, restarts=3, seed=0, max_iters=2)
+        res = minimize.minimize_commutator(cfg)
+        for trace in res.restarts:
+            want, _, _ = minimize_oracle.run_restart(target, 0, trace.restart, 2)
+            assert trace.iterations == want.iterations == 2
+            assert trace.stop_reason == want.stop_reason == "budget"
+            assert abs(trace.objective - want.objective) <= 1e-12
+
+
+class TestStopReason:
+    def test_recurring_target_restarts_converge(self):
+        cfg = minimize.MinimizeConfig(
+            target=minimize.OPTIMAL_TARGET, restarts=50, seed=2026
+        )
+        res = minimize.minimize_commutator(cfg)
+        assert any(t.converged for t in res.restarts)
+        for t in res.restarts:
+            assert t.stop_reason in minimize.STOP_REASONS
+            assert t.converged == (t.feasibility <= minimize.FEASIBILITY_TOL
+                                   and t.stop_reason in ("gtol", "stagnation"))
