@@ -1,0 +1,109 @@
+"""Run every commlab subcommand on fixed inputs and keep all artifacts.
+
+Covers anderson-verify, staircase (plain and self-adjoint), solve-selfcomm
+(types A and C), every lie action, minimize and every seq action, each with
+a fixed seed, into one directory per case.  Two checkouts can be compared
+file by file:
+
+    PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_a
+    (in the other checkout) PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_b
+    diff -r ../snap_a ../snap_b    # or cmp file by file
+
+The inputs are written under ``inputs/`` by this script rather than by
+``commlab.matio``, so they do not depend on the checkout being compared.
+The exit status is the worst exit code of the cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+from commlab.cli import main
+
+
+def write_matrix(path: str, m: np.ndarray) -> str:
+    m = np.asarray(m, dtype=np.complex128)
+    lines = [f"{m.shape[0]} {m.shape[1]}"]
+    lines.extend(f"{z.real:.17g} {z.imag:.17g}" for z in m.reshape(-1))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
+
+
+def write_values(path: str, values) -> str:
+    with open(path, "w") as handle:
+        handle.write("\n".join(f"{x:.17g}" for x in values) + "\n")
+    return path
+
+
+def hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2.0
+
+
+def inputs(root: str) -> dict[str, str]:
+    os.makedirs(root, exist_ok=True)
+    rng = np.random.default_rng(20261018)
+    t = hermitian(rng, 12)
+    t -= np.trace(t) / 12 * np.eye(12)
+    s = np.block([[np.zeros((5, 5)), np.eye(5)], [-np.eye(5), np.zeros((5, 5))]])
+    h = hermitian(rng, 10)
+    sp = (h + s @ h.T @ s) / 2.0
+    general = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    p = os.path.join
+    return {
+        "T": write_matrix(p(root, "T.txt"), t),
+        "C": write_matrix(p(root, "C.txt"), sp),
+        "H0": write_matrix(p(root, "H0.txt"), hermitian(rng, 9)),
+        "H1": write_matrix(p(root, "H1.txt"), hermitian(rng, 9)),
+        "G": write_matrix(p(root, "G.txt"), general),
+        "target": write_matrix(p(root, "target.txt"), np.diag([-1.0, 0.5, 0.5])),
+        "values": write_values(p(root, "values.txt"), rng.standard_normal(40)),
+        "weights": write_values(p(root, "weights.txt"), np.sqrt(np.arange(1.0, 12.0))),
+    }
+
+
+def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
+    """argv of each case; ``out`` is the root the case directories go under."""
+    return {
+        "anderson": ["anderson-verify", "--weights", "powerlog:1,-0.5,0",
+                     "--blocks", "9", "--tol", "verify=1e-9"],
+        "anderson-explicit": ["anderson-verify", "--weights", f"explicit:{f['weights']}",
+                              "--blocks", "6"],
+        "staircase": ["staircase", "--input", f["G"], f["H0"]],
+        "staircase-sa": ["staircase", "--input", f["H0"], f["H1"], "--selfadjoint",
+                         "--tol", "band=1e-8"],
+        "selfcomm-A": ["solve-selfcomm", "--type", "A", "--input", f["T"],
+                       "--out", os.path.join(out, "selfcomm-A", "solution.txt")],
+        "selfcomm-C": ["solve-selfcomm", "--type", "C", "--input", f["C"]],
+        "lie-killing": ["lie", "killing", "--n", "4", "--seed", "5",
+                        "--report", os.path.join(out, "lie-killing", "killing.csv")],
+        "lie-semisimple": ["lie", "semisimple", "--n", "3"],
+        "lie-solve-sl": ["lie", "solve-sl", "--input", f["T"]],
+        "minimize": ["minimize", "--target", f["target"], "--restarts", "6",
+                     "--max-iters", "4000", "--seed", "3"],
+        "seq-classify": ["seq", "classify", "--family", "powerlog:1,1,2"],
+        "seq-mean": ["seq", "mean", "--input", f["values"],
+                     "--out", os.path.join(out, "seq-mean", "means.txt")],
+    }
+
+
+def snapshot(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", required=True)
+    args = parser.parse_args(argv)
+    files = inputs(os.path.join(args.out_dir, "inputs"))
+    worst = 0
+    for name, case in cases(files, args.out_dir).items():
+        code = main([*case, "--out-dir", os.path.join(args.out_dir, name)])
+        print(f"{name}: exit {code}")
+        worst = max(worst, code)
+    return worst
+
+
+if __name__ == "__main__":
+    sys.exit(snapshot())

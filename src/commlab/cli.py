@@ -2,18 +2,24 @@
 
 Subcommands mirror the library modules (anderson-verify, staircase,
 solve-selfcomm, lie, minimize, seq) and a ``run`` mode executes a plain-text
-config.  All artifacts are written atomically; reports are CSV rows
-(check_name, value, tolerance, pass).  Exit codes: 0 all checks pass,
-2 config/parse problems, 3 tolerance failures, 4 numeric non-convergence.
+config.  One table, ``COMMANDS``, names each command's runner, options and
+tolerances; the argument parser, the config-file parser, the key list in
+``--help`` and dispatch are all built from it.  All artifacts are written
+atomically; reports are CSV rows (check_name, value, tolerance, pass).  Exit
+codes: 0 all checks pass, 2 config/parse problems, 3 tolerance failures,
+4 numeric non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import textwrap
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -26,24 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_NUMERIC = 4
-
-FORMAT_GRAMMARS = """\
-formats:
-  matrix file      first line "rows cols"; then rows*cols lines "re im",
-                   row-major, 17 significant digits (doubles round-trip
-                   bit-exactly)
-  value file       one decimal literal per line
-  weights/family   powerlog:C,p,q   meaning d_n = C * n^-p * log(n+1)^-q
-                   explicit:PATH    terms read from a value file
-  config file      line-oriented "key = value"; blank lines and lines
-                   starting with '#' are ignored; keys: command, seed,
-                   output_dir, input, target, out, report, weights,
-                   blocks, type, selfadjoint, action, n, family, restarts,
-                   max_iters, tol.NAME; unknown or duplicate keys are
-                   rejected
-environment:
-  COMMLAB_SEED     overrides the configured seed
-"""
 
 
 class ConfigError(ValueError):
@@ -69,72 +57,6 @@ class RunConfig:
     family: str | None = None
     restarts: int = 50
     max_iters: int = 20000
-
-
-_COMMANDS = ("anderson-verify", "staircase", "solve-selfcomm", "lie", "minimize", "seq")
-_INT_KEYS = {"seed", "blocks", "n", "restarts", "max_iters"}
-_BOOL_KEYS = {"selfadjoint"}
-_STR_KEYS = {"command", "output_dir", "input", "target", "out", "report",
-             "weights", "type", "action", "family"}
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse the line-oriented "key = value" document into a RunConfig."""
-    seen: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if not (key in _INT_KEYS or key in _BOOL_KEYS or key in _STR_KEYS
-                or key.startswith("tol.")):
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        seen[key] = value
-
-    if "command" not in seen:
-        raise ConfigError("command required")
-    command = seen.pop("command")
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-
-    cfg = RunConfig(command=command)
-    for key, value in seen.items():
-        if key.startswith("tol."):
-            name = key[len("tol."):]
-            try:
-                tol = float(value)
-            except ValueError:
-                raise ConfigError(f"tolerance {key!r} is not a number") from None
-            if not tol > 0:
-                raise ConfigError(f"tolerance {key!r} must be positive")
-            cfg.tolerances[name] = tol
-        elif key in _INT_KEYS:
-            try:
-                num = int(value)
-            except ValueError:
-                raise ConfigError(f"key {key!r} needs an integer") from None
-            setattr(cfg, "rank" if key == "n" else key, num)
-        elif key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"key {key!r} needs true/false")
-            setattr(cfg, key, value.lower() in ("true", "1"))
-        elif key == "input":
-            cfg.inputs = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif key == "type":
-            cfg.solver_type = value
-        elif key == "report":
-            cfg.report_path = value
-        else:
-            setattr(cfg, key, value)
-    return cfg
 
 
 def parse_weights(text: str, count: int) -> WeightSequence:
@@ -172,36 +94,22 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _artifact(cfg: RunConfig, name: str, override: str | None = None) -> str:
-    return override if override else os.path.join(cfg.output_dir, name)
-
-
-def _write_matrix(rep: SolveReport, cfg: RunConfig, name: str, m,
-                  override: str | None = None) -> str:
-    target = _artifact(cfg, name, override)
-    matio.save_matrix(target, m)
+def _save(rep: SolveReport, cfg: RunConfig, name: str, save, data,
+          override: str | None = None) -> None:
+    """Write one artifact with ``save(path, data)`` and list it in the report."""
+    target = override or os.path.join(cfg.output_dir, name)
+    save(target, data)
     rep.details.setdefault("artifacts", []).append(target)
-    return target
-
-
-def _write_text(rep: SolveReport, cfg: RunConfig, name: str, text: str,
-                override: str | None = None) -> str:
-    target = _artifact(cfg, name, override)
-    matio.atomic_write(target, text)
-    rep.details.setdefault("artifacts", []).append(target)
-    return target
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# runners: each gets a RunConfig that run() has checked against COMMANDS
 
 
 def _run_anderson(cfg: RunConfig) -> SolveReport:
-    if not cfg.weights:
-        raise ConfigError("anderson-verify needs weights")
     weights = parse_weights(cfg.weights, count=cfg.blocks + 1)
-    tol = cfg.tolerances.get("verify", numkit.DEFAULT_TOL)
-    rep = anderson.verify_positive_commutator(weights, cfg.blocks, tolerance=tol)
+    rep = anderson.verify_positive_commutator(weights, cfg.blocks,
+                                              tolerance=cfg.tolerances["verify"])
     adm = anderson.admissible(weights)
     if adm.admissible is not None:
         rep.check("admissible_growth", 0.0 if adm.admissible else 1.0, 0.5)
@@ -212,16 +120,14 @@ def _run_anderson(cfg: RunConfig) -> SolveReport:
         (k + 1, float(means[k]), float(abs(means[k] - predicted[k])))
         for k in range(len(means))
     ]
-    _write_text(rep, cfg, "blocks.csv",
-                _csv_text(("block_index", "diagonal_value", "residual"), rows))
+    _save(rep, cfg, "blocks.csv", matio.atomic_write,
+          _csv_text(("block_index", "diagonal_value", "residual"), rows))
     return rep
 
 
 def _run_staircase(cfg: RunConfig) -> SolveReport:
-    if not cfg.inputs:
-        raise ConfigError("staircase needs input matrices")
     ops = [matio.load_matrix(p) for p in cfg.inputs]
-    tol = cfg.tolerances.get("band", 1e-9)
+    tol = cfg.tolerances["band"]
     result = staircase.staircase_form(ops, selfadjoint_hint=cfg.selfadjoint,
                                       tolerance=tol)
     rep = SolveReport(command="staircase")
@@ -232,21 +138,17 @@ def _run_staircase(cfg: RunConfig) -> SolveReport:
               passed=bool((result.unitary[:, 0] == e1).all()))
     ok = staircase.verify_band(result, len(ops), cfg.selfadjoint, tol)
     rep.check("band_bound", 0.0 if ok else 1.0, 0.5)
-    _write_matrix(rep, cfg, "unitary.txt", result.unitary)
+    _save(rep, cfg, "unitary.txt", matio.save_matrix, result.unitary)
     factor = staircase.band_bound_factor(len(ops), cfg.selfadjoint)
     for i, (t, profile) in enumerate(zip(result.transformed, result.band_profile)):
-        _write_matrix(rep, cfg, f"transformed_{i}.txt", t)
+        _save(rep, cfg, f"transformed_{i}.txt", matio.save_matrix, t)
         rows = [(r + 1, int(profile[r]), (r + 1) * factor) for r in range(len(profile))]
-        _write_text(rep, cfg, f"band_{i}.csv",
-                    _csv_text(("row_index", "max_col", "bound"), rows))
+        _save(rep, cfg, f"band_{i}.csv", matio.atomic_write,
+              _csv_text(("row_index", "max_col", "bound"), rows))
     return rep
 
 
 def _run_selfcomm(cfg: RunConfig) -> SolveReport:
-    if not cfg.inputs:
-        raise ConfigError("solve-selfcomm needs an input matrix")
-    if cfg.solver_type not in ("A", "C"):
-        raise ConfigError("solve-selfcomm needs type A or C")
     t = matio.load_matrix(cfg.inputs[0])
     if cfg.solver_type == "A":
         sol = selfcomm.solve_type_A(t)
@@ -261,26 +163,23 @@ def _run_selfcomm(cfg: RunConfig) -> SolveReport:
             raise DomainError("type C needs even dimension")
         j = selfcomm.make_anticonjugation(t.shape[0] // 2)
         rep = selfcomm.solve_type_C(t, j)
-    _write_matrix(rep, cfg, "Y.txt", rep.matrices["Y"], cfg.out)
+    _save(rep, cfg, "Y.txt", matio.save_matrix, rep.matrices["Y"], cfg.out)
     return rep
 
 
 def _run_lie(cfg: RunConfig) -> SolveReport:
-    action = cfg.action or "killing"
-    if action == "solve-sl":
+    if cfg.action == "solve-sl":
         if not cfg.inputs:
             raise ConfigError("lie solve-sl needs an input matrix")
         rep = liealg.solve_sl(matio.load_matrix(cfg.inputs[0]))
-        _write_matrix(rep, cfg, "Y.txt", rep.matrices["Y"], cfg.out)
+        _save(rep, cfg, "Y.txt", matio.save_matrix, rep.matrices["Y"], cfg.out)
         return rep
-    if action not in ("killing", "semisimple"):
-        raise ConfigError(f"unknown lie action {action!r}")
     n = cfg.rank
     if n < 2:
         raise ConfigError("lie needs n >= 2")
     basis = liealg.sl_basis(n - 1)
-    rep = SolveReport(command=f"lie {action}")
-    if action == "killing":
+    rep = SolveReport(command=f"lie {cfg.action}")
+    if cfg.action == "killing":
         rng = np.random.default_rng(cfg.seed)
         worst = 0.0
         for _ in range(20):
@@ -297,8 +196,6 @@ def _run_lie(cfg: RunConfig) -> SolveReport:
 
 
 def _run_minimize(cfg: RunConfig) -> SolveReport:
-    if not cfg.target:
-        raise ConfigError("minimize needs a target matrix")
     target = matio.load_matrix(cfg.target)
     mcfg = minimize.MinimizeConfig(
         target=target, restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed
@@ -317,12 +214,12 @@ def _run_minimize(cfg: RunConfig) -> SolveReport:
          int(t.converged))
         for t in result.restarts
     ]
-    _write_text(rep, cfg, "restarts.csv",
-                _csv_text(("restart", "iters", "feasibility", "objective",
-                           "stop_reason", "converged"), rows),
-                cfg.out)
-    _write_matrix(rep, cfg, "best_a.txt", result.best_a)
-    _write_matrix(rep, cfg, "best_b.txt", result.best_b)
+    _save(rep, cfg, "restarts.csv", matio.atomic_write,
+          _csv_text(("restart", "iters", "feasibility", "objective",
+                     "stop_reason", "converged"), rows),
+          cfg.out)
+    _save(rep, cfg, "best_a.txt", matio.save_matrix, result.best_a)
+    _save(rep, cfg, "best_b.txt", matio.save_matrix, result.best_b)
     if not result.certified:
         raise NumericError(
             f"no restart reached feasibility {minimize.FEASIBILITY_TOL:g}; "
@@ -332,9 +229,8 @@ def _run_minimize(cfg: RunConfig) -> SolveReport:
 
 
 def _run_seq(cfg: RunConfig) -> SolveReport:
-    action = cfg.action or "classify"
-    rep = SolveReport(command=f"seq {action}")
-    if action == "classify":
+    rep = SolveReport(command=f"seq {cfg.action}")
+    if cfg.action == "classify":
         if not cfg.family:
             raise ConfigError("seq classify needs a family")
         verdict = idealseq.classify_hsii(parse_family(cfg.family))
@@ -344,58 +240,228 @@ def _run_seq(cfg: RunConfig) -> SolveReport:
         for key, val in verdict.diagnostics.items():
             rep.info(f"diag_{key}", float(val))
         return rep
-    if action == "mean":
-        if not cfg.inputs:
-            raise ConfigError("seq mean needs an input value file")
-        values = matio.load_values(cfg.inputs[0])
-        means = idealseq.arithmetic_mean_sequence(values)
-        target = _artifact(cfg, "mean.txt", cfg.out)
-        matio.save_values(target, means)
-        rep.details.setdefault("artifacts", []).append(target)
-        rep.info("terms", float(means.size))
-        rep.info("final_mean", float(means[-1]) if means.size else 0.0)
-        return rep
-    raise ConfigError(f"unknown seq action {action!r}")
+    if not cfg.inputs:
+        raise ConfigError("seq mean needs an input value file")
+    values = matio.load_values(cfg.inputs[0])
+    means = idealseq.arithmetic_mean_sequence(values)
+    _save(rep, cfg, "mean.txt", matio.save_values, means, cfg.out)
+    rep.info("terms", float(means.size))
+    rep.info("final_mean", float(means[-1]) if means.size else 0.0)
+    return rep
 
 
-_DISPATCH = {
-    "anderson-verify": _run_anderson,
-    "staircase": _run_staircase,
-    "solve-selfcomm": _run_selfcomm,
-    "lie": _run_lie,
-    "minimize": _run_minimize,
-    "seq": _run_seq,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Option:
+    """Config key, RunConfig field, flag (positional without dashes), type, default.
+
+    ``kind`` is str, int, bool (a bare flag; true/false/0/1 in a file) or tuple
+    (``--input A``, or ``--input A B ...`` with ``many``; comma-separated in a file).
+    """
+
+    key: str
+    field: str
+    flag: str
+    kind: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    many: bool = False
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    runner: Callable[[RunConfig], SolveReport]
+    help: str
+    options: tuple[Option, ...]
+    tolerances: dict[str, float] = field(default_factory=dict)  # name -> default
+
+
+# Keys every command takes, besides ``command`` and ``tol.NAME``.
+COMMON = (
+    Option("output_dir", "output_dir", "--out-dir", default=".", help="artifact directory"),
+    Option("seed", "seed", "--seed", int, 0),
+    Option("report", "report_path", "--report", help="report CSV path"),
+)
+_INPUT = Option("input", "inputs", "--input", tuple, ())
+_OUT = Option("out", "out", "--out")
+
+COMMANDS = {
+    "anderson-verify": Command(_run_anderson, "certify [C,Z] for a weight family", (
+        Option("weights", "weights", "--weights", required=True),
+        Option("blocks", "blocks", "--blocks", int, 8),
+    ), {"verify": numkit.DEFAULT_TOL}),
+    "staircase": Command(_run_staircase, "simultaneous banded form", (
+        dataclasses.replace(_INPUT, required=True, many=True),
+        Option("selfadjoint", "selfadjoint", "--selfadjoint", bool, False),
+    ), {"band": 1e-9}),
+    "solve-selfcomm": Command(_run_selfcomm, "solve [Y*,Y] = T", (
+        Option("type", "solver_type", "--type", required=True, choices=("A", "C")),
+        dataclasses.replace(_INPUT, required=True),
+        dataclasses.replace(_OUT, help="solution matrix path"),
+    )),
+    "lie": Command(_run_lie, "Killing form / semisimplicity / sl solver", (
+        Option("action", "action", "action", default="killing",
+               choices=("killing", "semisimple", "solve-sl")),
+        Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)"),
+        _INPUT, _OUT,
+    )),
+    "minimize": Command(_run_minimize, "penalty search for the norm minimum", (
+        Option("target", "target", "--target", required=True),
+        Option("restarts", "restarts", "--restarts", int, 50),
+        Option("max_iters", "max_iters", "--max-iters", int, 20000),
+        dataclasses.replace(_OUT, help="restart CSV path"),
+    )),
+    "seq": Command(_run_seq, "sequence classifiers", (
+        Option("action", "action", "action", default="classify", choices=("classify", "mean")),
+        Option("family", "family", "--family"),
+        _INPUT, _OUT,
+    )),
 }
 
 
+def _convert(opt: Option, value):
+    """Option text from a config file or the command line, in the option's type."""
+    if not isinstance(value, str):  # a bare flag or a list of paths
+        return tuple(value) if isinstance(value, list) else value
+    if opt.kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"{opt.key} needs an integer, got {value!r}") from None
+    if opt.kind is bool:
+        if value.lower() not in ("true", "false", "0", "1"):
+            raise ConfigError(f"{opt.key} needs true/false, got {value!r}")
+        return value.lower() in ("true", "1")
+    if opt.kind is tuple:
+        return tuple(p.strip() for p in value.split(",") if p.strip())
+    return value
+
+
+def _build_config(command: str, values: dict[str, object]) -> RunConfig:
+    """The one path from config keys (file or command line) to a RunConfig."""
+    options = {o.key: o for o in COMMANDS[command].options + COMMON}
+    fields: dict[str, object] = {"tolerances": {}}
+    for key, value in values.items():
+        if key.startswith("tol."):
+            try:
+                fields["tolerances"][key[len("tol."):]] = float(value)
+            except ValueError:
+                raise ConfigError(f"tolerance {key[len('tol.'):]!r} needs a number, "
+                                  f"got {value!r}") from None
+        elif key in options:
+            fields[options[key].field] = _convert(options[key], value)
+        else:
+            raise ConfigError(f"unknown key {key!r} for {command} "
+                              f"(it takes: {', '.join(options)})")
+    return RunConfig(command=command, **fields)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse the line-oriented "key = value" document into a RunConfig."""
+    seen: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen[key] = value.strip()
+    if "command" not in seen:
+        raise ConfigError("command required")
+    command = seen.pop("command")
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    return _build_config(command, seen)
+
+
 def run(config: RunConfig) -> SolveReport:
-    """Dispatch a config to its module and write the report CSV."""
-    if config.command not in _DISPATCH:
+    """Check a config against its COMMANDS entry, run it, write the report CSV.
+
+    Unset (None) options take the table default.
+    """
+    entry = COMMANDS.get(config.command)
+    if entry is None:
         raise ConfigError(f"unknown command {config.command!r}")
-    for tol in config.tolerances.values():
+    for name, tol in config.tolerances.items():
+        if name not in entry.tolerances:
+            raise ConfigError(f"unknown tolerance {name!r} for {config.command} "
+                              f"(it takes: {', '.join(entry.tolerances) or 'none'})")
         if not tol > 0:
-            raise ConfigError("tolerance overrides must be positive")
+            raise ConfigError(f"tolerance {name!r} must be positive")
+    changes: dict[str, object] = {}
+    for opt in entry.options:
+        value = getattr(config, opt.field)
+        if value is None:
+            value = changes[opt.field] = opt.default
+        if opt.required and not value:
+            raise ConfigError(f"{config.command} needs {opt.key}")
+        if opt.choices and value not in opt.choices:
+            raise ConfigError(f"unknown {config.command} {opt.key} {value!r}")
     env_seed = os.environ.get("COMMLAB_SEED")
     if env_seed is not None:
         try:
-            config.seed = int(env_seed)
+            changes["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"COMMLAB_SEED must be an integer, got {env_seed!r}") from None
-    os.makedirs(config.output_dir, exist_ok=True)
-    if not os.access(config.output_dir, os.W_OK):
-        raise ConfigError(f"output directory {config.output_dir!r} is not writable")
+    cfg = dataclasses.replace(config, tolerances={**entry.tolerances, **config.tolerances},
+                              **changes)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    if not os.access(cfg.output_dir, os.W_OK):
+        raise ConfigError(f"output directory {cfg.output_dir!r} is not writable")
     start = time.perf_counter()
-    rep = _DISPATCH[config.command](config)
+    rep = entry.runner(cfg)
     if not rep.wall_time:
         rep.wall_time = time.perf_counter() - start
-    report_path = _artifact(config, "report.csv", config.report_path)
-    matio.atomic_write(report_path, rep.csv_text())
-    rep.details.setdefault("artifacts", []).append(report_path)
+    _save(rep, cfg, "report.csv", matio.atomic_write, rep.csv_text(), cfg.report_path)
     return rep
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+FORMATS = """\
+formats:
+  matrix file      first line "rows cols"; then rows*cols lines "re im",
+                   row-major, 17 significant digits (doubles round-trip
+                   bit-exactly)
+  value file       one decimal literal per line
+  weights/family   powerlog:C,p,q   meaning d_n = C * n^-p * log(n+1)^-q
+                   explicit:PATH    terms read from a value file
+  config file      line-oriented "key = value"; blank lines and lines
+                   starting with '#' are ignored; input takes a comma-
+                   separated list; unknown or duplicate keys, and keys or
+                   tolerance names the command does not take, are rejected
+environment:
+  COMMLAB_SEED     overrides the configured seed
+config keys (flag, default) and tol.NAME tolerance names (default):
+"""
+
+
+def _epilog() -> str:
+    def describe(opt: Option) -> str:
+        flag = " ".join([opt.flag if opt.flag.startswith("-") else "positional",
+                         "|".join(opt.choices)])
+        default = "" if opt.default in (None, ()) else f", {opt.default}"
+        return f"{opt.key} ({flag.strip()}{default})"
+
+    rows = [("every command", "command, " + ", ".join(map(describe, COMMON))
+             + ", tol.NAME (--tol NAME=VALUE)")]
+    for name, cmd in COMMANDS.items():
+        tols = ", ".join(f"{t} ({v:g})" for t, v in cmd.tolerances.items()) or "none"
+        rows.append((name, ", ".join(map(describe, cmd.options)) + f"; tol: {tols}"))
+    return FORMATS + "\n".join(
+        textwrap.fill(text, 76, initial_indent=f"  {name:<17}", subsequent_indent=" " * 19,
+                      break_on_hyphens=False)
+        for name, text in rows) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,115 +469,47 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="commlab",
         description="Commutator constructions, self-commutator solvers and "
                     "norm-minimum certificates at finite truncation.",
-        epilog=FORMAT_GRAMMARS,
+        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--report", default=None, help="report CSV path")
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="NAME=VALUE", help="tolerance override")
-
-    p = sub.add_parser("anderson-verify", help="certify [C,Z] for a weight family")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--blocks", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("staircase", help="simultaneous banded form")
-    p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--selfadjoint", action="store_true")
-    common(p)
-
-    p = sub.add_parser("solve-selfcomm", help="solve [Y*,Y] = T")
-    p.add_argument("--type", choices=("A", "C"), required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", default=None, help="solution matrix path")
-    common(p)
-
-    p = sub.add_parser("lie", help="Killing form / semisimplicity / sl solver")
-    p.add_argument("action", choices=("killing", "semisimple", "solve-sl"))
-    p.add_argument("--n", type=int, default=3, help="matrix size for sl(n)")
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
-    common(p)
-
-    p = sub.add_parser("minimize", help="penalty search for the norm minimum")
-    p.add_argument("--target", required=True)
-    p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--out", default=None, help="restart CSV path")
-    common(p)
-
-    p = sub.add_parser("seq", help="sequence classifiers")
-    p.add_argument("action", choices=("classify", "mean"))
-    p.add_argument("--family", default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
-    common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt in cmd.options + COMMON:
+            kw: dict[str, object] = {"default": argparse.SUPPRESS, "help": opt.help}
+            if opt.choices:
+                kw["choices"] = opt.choices
+            if not opt.flag.startswith("-"):
+                p.add_argument(opt.flag, **kw)
+                continue
+            if opt.kind is bool:
+                kw["action"] = "store_true"
+            elif opt.kind is tuple:
+                kw["nargs"] = "+" if opt.many else 1
+            p.add_argument(opt.flag, dest=opt.key, required=opt.required, **kw)
+        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                       help="tolerance override: " + (", ".join(cmd.tolerances) or "none"))
     p = sub.add_parser("run", help="execute a key = value config file")
     p.add_argument("--config", required=True)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.output_dir = getattr(args, "out_dir", ".")
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.report_path = getattr(args, "report", None)
-    for item in getattr(args, "tol", []):
-        name, _, value = item.partition("=")
-        try:
-            tol = float(value)
-        except ValueError:
-            raise ConfigError(f"bad tolerance override {item!r}") from None
-        if not tol > 0:
-            raise ConfigError(f"tolerance override {item!r} must be positive")
-        cfg.tolerances[name] = tol
-    if args.command == "anderson-verify":
-        cfg.weights = args.weights
-        cfg.blocks = args.blocks
-    elif args.command == "staircase":
-        cfg.inputs = tuple(args.input)
-        cfg.selfadjoint = args.selfadjoint
-    elif args.command == "solve-selfcomm":
-        cfg.inputs = (args.input,)
-        cfg.solver_type = args.type
-        cfg.out = args.out
-    elif args.command == "lie":
-        cfg.action = args.action
-        cfg.rank = args.n
-        cfg.inputs = (args.input,) if args.input else ()
-        cfg.out = args.out
-    elif args.command == "minimize":
-        cfg.target = args.target
-        cfg.restarts = args.restarts
-        cfg.max_iters = args.max_iters
-        cfg.out = args.out
-    elif args.command == "seq":
-        cfg.action = args.action
-        cfg.family = args.family
-        cfg.inputs = (args.input,) if args.input else ()
-        cfg.out = args.out
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "run":
+        if command == "run":
             try:
-                with open(args.config) as handle:
+                with open(args["config"]) as handle:
                     text = handle.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
             cfg = parse_config(text)
         else:
-            cfg = _config_from_args(args)
+            for item in args.pop("tol"):
+                name, _, value = item.partition("=")
+                args[f"tol.{name}"] = value
+            cfg = _build_config(command, args)
         rep = run(cfg)
     except (ConfigError, matio.MatrixFormatError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,7 +183,6 @@ def solve_sl(a) -> SolveReport:
     rep.info("solution_hs_norm", numkit.hs_norm(sol.solution))
     rep.matrices["Y"] = sol.solution
     rep.details["coefficients"] = coeffs
-    rep.details["permutation"] = sol.permutation
     return rep
 
 

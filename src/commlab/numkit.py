@@ -121,10 +121,14 @@ def hermitian_eigen(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the order the underlying routine produced (stable sort, then
-    index-ascending).  Raises DomainError for non-Hermitian input.
+    index-ascending).  Raises DomainError for non-Hermitian input and
+    NumericError when the eigensolver does not converge.
     """
     a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigh did not converge on shape {a.shape}: {exc}") from exc
     order = descending_order(w)
     return EigenDecomposition(
         values=np.ascontiguousarray(w[order]),
@@ -142,6 +146,20 @@ def project_residual(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w - basis @ (basis.conj().T @ w)
 
 
+def gram_schmidt_step(v: np.ndarray, basis: np.ndarray,
+                      tolerance: float = DEFAULT_TOL) -> np.ndarray | None:
+    """Unit residual of v against orthonormal columns, or None if rejected.
+
+    v is rejected when its projection residual has norm at most
+    ``tolerance * (1 + ||v||)``.
+    """
+    w = project_residual(v, basis)
+    norm_w = float(np.linalg.norm(w))
+    if norm_w <= tolerance * (1.0 + float(np.linalg.norm(v))):
+        return None
+    return w / norm_w
+
+
 def gram_schmidt(
     vectors: Sequence, tolerance: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, list[int]]:
@@ -149,8 +167,7 @@ def gram_schmidt(
 
     Returns ``(basis, accepted)`` where ``basis`` has orthonormal columns and
     ``accepted`` lists the input indices that produced a new column.  A vector
-    is rejected (not an error) when its projection residual has norm at most
-    ``tolerance * (1 + its norm)``.
+    is rejected (not an error) by the rule of :func:`gram_schmidt_step`.
     """
     vs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if not vs:
@@ -164,11 +181,10 @@ def gram_schmidt(
     for idx, v in enumerate(vs):
         if k == dim:
             break
-        w = project_residual(v, basis[:, :k])
-        norm_w = float(np.linalg.norm(w))
-        if norm_w <= tolerance * (1.0 + float(np.linalg.norm(v))):
+        u = gram_schmidt_step(v, basis[:, :k], tolerance)
+        if u is None:
             continue
-        basis[:, k] = w / norm_w
+        basis[:, k] = u
         accepted.append(idx)
         k += 1
     return basis[:, :k].copy(), accepted

@@ -43,12 +43,10 @@ def partial_sums_sorted(values: Sequence[float]) -> np.ndarray:
 class TypeASolution:
     """Solver output for [Y*, Y] = T over plain matrices.
 
-    ``permutation`` reorders the raw eigendecomposition descending,
-    ``partial_sums`` are the cumulative sums a_j of the sorted eigenvalues,
-    and ``residual`` is ||[Y*, Y] - T||_F.
+    ``partial_sums`` are the cumulative sums a_j of the eigenvalues in
+    descending order, and ``residual`` is ||[Y*, Y] - T||_F.
     """
 
-    permutation: np.ndarray
     partial_sums: np.ndarray
     solution: np.ndarray
     residual: float
@@ -73,17 +71,12 @@ def solve_type_A(t) -> TypeASolution:
     scale = numkit.hs_norm(t)
     if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + scale):
         raise DomainError("trace-zero required")
-    w, v = np.linalg.eigh(t)
-    order = numkit.descending_order(w)
-    c = w[order]
-    vecs = v[:, order]
-    sums = np.cumsum(c)
+    eig = numkit.hermitian_eigen(t)
+    sums = np.cumsum(eig.values)
     yhat = shift_from_partial_sums(sums[:-1], t.shape[0])
-    y = vecs @ yhat @ vecs.conj().T
+    y = eig.vectors @ yhat @ eig.vectors.conj().T
     residual = numkit.hs_norm(numkit.self_commutator(y) - t)
-    return TypeASolution(
-        permutation=order, partial_sums=sums, solution=y, residual=residual
-    )
+    return TypeASolution(partial_sums=sums, solution=y, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -131,16 +124,6 @@ def rearrange_type_A(values: Sequence[float]) -> Rearrangement:
 # conjugate-linear isometries and the symplectic algebra
 
 
-def _check_antilinear(matrix: np.ndarray, sign: float, kind: str) -> None:
-    s = numkit.as_square(matrix)
-    dim = s.shape[0]
-    if numkit.unitary_defect(s) > 1e-12 * max(1, dim):
-        raise DomainError(f"{kind} fixed matrix must be unitary")
-    target = sign * np.eye(dim)
-    if np.abs(s @ np.conj(s) - target).max() > 1e-12:
-        raise DomainError(f"{kind} must square to {sign:+g} identity")
-
-
 @dataclass(frozen=True)
 class AntiConjugation:
     """Conjugate-linear isometry Jt with Jt^2 = -1, stored as v -> S conj(v).
@@ -153,8 +136,13 @@ class AntiConjugation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_antilinear(self.matrix, -1.0, "anti-conjugation")
-        if self.matrix.shape[0] % 2:
+        s = numkit.as_square(self.matrix)
+        dim = s.shape[0]
+        if numkit.unitary_defect(s) > 1e-12 * max(1, dim):
+            raise DomainError("anti-conjugation fixed matrix must be unitary")
+        if np.abs(s @ np.conj(s) + np.eye(dim)).max() > 1e-12:
+            raise DomainError("anti-conjugation must square to -1 identity")
+        if dim % 2:
             raise DomainError("anti-conjugation needs even dimension")
 
     @property
@@ -174,28 +162,6 @@ class AntiConjugation:
         return -s @ x.T @ np.conj(s)
 
 
-@dataclass(frozen=True)
-class Conjugation:
-    """Conjugate-linear isometry J with J^2 = +1, stored as v -> R conj(v)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        _check_antilinear(self.matrix, 1.0, "conjugation")
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(v)
-
-    def adjoint_twist(self, x: np.ndarray) -> np.ndarray:
-        """J X* J^{-1} as a complex-linear matrix (J^{-1} = J)."""
-        r = self.matrix
-        return r @ x.T @ np.conj(r)
-
-
 def make_anticonjugation(m: int) -> AntiConjugation:
     """Standard anti-conjugation on C^{2m} with the (1..m, -1..-m) pairing."""
     if m < 1:
@@ -203,13 +169,6 @@ def make_anticonjugation(m: int) -> AntiConjugation:
     eye = np.eye(m)
     s = np.block([[np.zeros((m, m)), eye], [-eye, np.zeros((m, m))]])
     return AntiConjugation(matrix=s.astype(np.complex128))
-
-
-def make_conjugation(dimension: int) -> Conjugation:
-    """Entrywise conjugation J b_n = b_n (fixed matrix is the identity)."""
-    if dimension < 1:
-        raise DomainError("need dimension >= 1")
-    return Conjugation(matrix=np.eye(dimension, dtype=np.complex128))
 
 
 def sp_defect(x, j: AntiConjugation) -> float:
@@ -225,25 +184,6 @@ def sp_defect(x, j: AntiConjugation) -> float:
 def in_sp(x, j: AntiConjugation, tolerance: float = 1e-9) -> bool:
     """Membership test for the type (C) algebra X = -Jt X* Jt^{-1}."""
     return sp_defect(x, j) <= tolerance
-
-
-def o_defect(x, j: Conjugation) -> float:
-    """||X + J X* J^{-1}||_F; zero exactly on the type (B) algebra."""
-    x = numkit.as_square(x)
-    if x.shape[0] != j.dimension:
-        raise numkit.ShapeError(
-            f"matrix of dimension {x.shape[0]} vs conjugation on {j.dimension}"
-        )
-    return float(np.linalg.norm(x + j.adjoint_twist(x)))
-
-
-def in_o(x, j: Conjugation, tolerance: float = 1e-9) -> bool:
-    """Membership test for the type (B) algebra X = -J X* J^{-1}.
-
-    Membership only: no type (B) solver exists here.  With the entrywise
-    conjugation the condition reduces to antisymmetry X^T = -X.
-    """
-    return o_defect(x, j) <= tolerance
 
 
 def project_to_sp(x, j: AntiConjugation) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import DomainError
+from .numkit import DomainError, NumericError
 
 # Relative magnitude floor when picking the phase-normalization pivot.
 _PIVOT_RTOL = 1e-8
@@ -51,7 +51,9 @@ def staircase_form(ops, selfadjoint_hint: bool = False,
 
     With ``selfadjoint_hint`` every input must be Hermitian (DomainError
     otherwise) and only direct images enter the stream, giving the thinner
-    m(N+1) band.  The first basis vector is always exactly e_1.
+    m(N+1) band.  The first basis vector is always exactly e_1.  Raises
+    NumericError when the stream fails to span, as it does when
+    ``tolerance`` rejects every offer.
     """
     mats = [numkit.as_square(a) for a in ops]
     if not mats:
@@ -69,12 +71,10 @@ def staircase_form(ops, selfadjoint_hint: bool = False,
 
     def offer(v: np.ndarray) -> None:
         nonlocal count
-        w = numkit.project_residual(v, basis[:, :count])
-        norm_w = float(np.linalg.norm(w))
-        if norm_w <= tolerance * (1.0 + float(np.linalg.norm(v))):
-            return
-        basis[:, count] = _phase_fix(w / norm_w)
-        count += 1
+        u = numkit.gram_schmidt_step(v, basis[:, :count], tolerance)
+        if u is not None:
+            basis[:, count] = _phase_fix(u)
+            count += 1
 
     for m in range(dim):
         if count == dim:
@@ -89,7 +89,9 @@ def staircase_form(ops, selfadjoint_hint: bool = False,
             offer(a @ b)
             if not selfadjoint_hint and count < dim:
                 offer(a.conj().T @ b)
-    assert count == dim, "generating stream failed to span"
+    if count < dim:
+        raise NumericError(f"generating stream spanned only {count} of {dim} "
+                           f"dimensions at tolerance {tolerance:g}")
 
     transformed = tuple(basis.conj().T @ a @ basis for a in mats)
     profile = []

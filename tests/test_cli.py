@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -53,7 +55,7 @@ class TestParseConfig:
         cfg = parse_config("command = anderson-verify\ntol.verify = 1e-8\n")
         assert cfg.tolerances == {"verify": 1e-8}
         with pytest.raises(ConfigError, match="positive"):
-            parse_config("command = anderson-verify\ntol.verify = -1\n")
+            cli.run(parse_config("command = anderson-verify\ntol.verify = -1\n"))
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# run\n\ncommand = lie\naction = killing\nn = 3\n")
@@ -279,3 +281,197 @@ class TestRunConfigFile:
         matio.save_matrix(tmp_path / "Y2.txt", y1)
         y2 = matio.load_matrix(tmp_path / "Y2.txt")
         assert y1.tobytes() == y2.tobytes()
+
+
+def one_line(capsys, prefix):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
+
+
+class TestCommandTable:
+    def test_help_lists_every_key_and_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, cmd in cli.COMMANDS.items():
+            assert name in text
+            for opt in cmd.options + cli.COMMON:
+                assert f"{opt.key} (" in text, opt.key
+                if opt.flag.startswith("-"):
+                    assert opt.flag in text
+            for tol in cmd.tolerances:
+                assert f"{tol} (" in text, tol
+
+    def test_defaults_agree_with_run_config(self):
+        base = cli.RunConfig(command="seq")
+        for cmd in cli.COMMANDS.values():
+            for opt in cmd.options + cli.COMMON:
+                assert getattr(base, opt.field) in (None, opt.default), opt.key
+
+    def test_only_two_commands_take_tolerances(self):
+        assert {n: c.tolerances for n, c in cli.COMMANDS.items() if c.tolerances} == {
+            "anderson-verify": {"verify": 1e-10}, "staircase": {"band": 1e-9}}
+
+
+@pytest.fixture
+def inputs(tmp_path, rng):
+    d = tmp_path / "in"
+    d.mkdir()
+    t = random_hermitian(rng, 6)
+    t -= np.trace(t) / 6 * np.eye(6)
+    matio.save_matrix(d / "T.txt", t)
+    matio.save_matrix(d / "C.txt", np.diag([1.0, 0.5, -1.0, -0.5]).astype(complex))
+    matio.save_matrix(d / "H0.txt", random_hermitian(rng, 7))
+    matio.save_matrix(d / "H1.txt", random_hermitian(rng, 7))
+    write_recurring_target(d / "target.txt")
+    matio.save_values(d / "v.txt", rng.standard_normal(12))
+    return d
+
+
+# (argv, equivalent config body); "{in}" is the input directory.
+PARITY_CASES = {
+    "anderson-verify": (
+        "anderson-verify --weights powerlog:1,-0.5,0 --blocks 7 --tol verify=1e-9",
+        "command = anderson-verify\nweights = powerlog:1,-0.5,0\nblocks = 7\n"
+        "tol.verify = 1e-9\n"),
+    "staircase": (
+        "staircase --input {in}/H0.txt {in}/H1.txt --selfadjoint --tol band=1e-8",
+        "command = staircase\ninput = {in}/H0.txt, {in}/H1.txt\nselfadjoint = true\n"
+        "tol.band = 1e-8\n"),
+    "solve-selfcomm-A": (
+        "solve-selfcomm --type A --input {in}/T.txt",
+        "command = solve-selfcomm\ntype = A\ninput = {in}/T.txt\n"),
+    "solve-selfcomm-C": (
+        "solve-selfcomm --type C --input {in}/C.txt",
+        "command = solve-selfcomm\ntype = C\ninput = {in}/C.txt\n"),
+    "lie-killing": (
+        "lie killing --n 4 --seed 11",
+        "command = lie\naction = killing\nn = 4\nseed = 11\n"),
+    "lie-semisimple": (
+        "lie semisimple --n 3",
+        "command = lie\naction = semisimple\nn = 3\n"),
+    "lie-solve-sl": (
+        "lie solve-sl --input {in}/T.txt",
+        "command = lie\naction = solve-sl\ninput = {in}/T.txt\n"),
+    "minimize": (
+        "minimize --target {in}/target.txt --restarts 3 --max-iters 3000 --seed 4",
+        "command = minimize\ntarget = {in}/target.txt\nrestarts = 3\nmax_iters = 3000\n"
+        "seed = 4\n"),
+    "seq-classify": (
+        "seq classify --family powerlog:1,1,2",
+        "command = seq\naction = classify\nfamily = powerlog:1,1,2\n"),
+    "seq-mean": (
+        "seq mean --input {in}/v.txt",
+        "command = seq\naction = mean\ninput = {in}/v.txt\n"),
+}
+
+
+class TestArgvConfigParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_same_config_and_artifacts(self, tmp_path, inputs, monkeypatch, case):
+        argv_text, body = PARITY_CASES[case]
+        seen = []
+        real_run = cli.run
+
+        def capture(cfg):
+            seen.append(cfg)
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run", capture)
+        by_argv, by_file = tmp_path / "argv", tmp_path / "file"
+        argv = argv_text.format(**{"in": inputs}).split()
+        assert main([*argv, "--out-dir", str(by_argv)]) == 0
+        config = tmp_path / "job.cfg"
+        config.write_text(body.format(**{"in": inputs}) + f"output_dir = {by_file}\n")
+        assert main(["run", "--config", str(config)]) == 0
+
+        assert seen[0] == cli.RunConfig(**{**vars(seen[1]), "output_dir": str(by_argv)})
+        names = sorted(os.listdir(by_argv))
+        assert "report.csv" in names and names == sorted(os.listdir(by_file))
+        for name in names:
+            assert (by_argv / name).read_bytes() == (by_file / name).read_bytes(), name
+
+
+class TestRejections:
+    @pytest.mark.parametrize("argv", [
+        ["solve-selfcomm", "--type", "A", "--tol", "bogus=1"],
+        ["solve-selfcomm", "--type", "A", "--tol", "residual=1e-300"],
+        ["solve-selfcomm", "--type", "A", "--tol", "residual=1e-300", "--tol", "bogus=1"],
+        ["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--tol", "band=1e-9"],
+        ["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--tol", "verify=0"],
+        ["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--tol", "verify=x"],
+        ["staircase", "--tol", "verify=1e-9"],
+    ])
+    def test_bad_tolerance_exits_2(self, tmp_path, inputs, capsys, argv):
+        if argv[0] != "anderson-verify":
+            argv = [*argv, "--input", str(inputs / "T.txt")]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        one_line(capsys, "error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("command = seq\nrestarts = 3\n", "unknown key 'restarts' for seq"),
+        ("command = minimize\ntarget = t.txt\nweights = powerlog:1,0,0\n",
+         "unknown key 'weights' for minimize"),
+        ("command = lie\ninput = a.txt\nselfadjoint = true\n",
+         "unknown key 'selfadjoint' for lie"),
+        ("command = anderson-verify\nweights = powerlog:1,-0.5,0\ntol.band = 1e-9\n",
+         "unknown tolerance 'band' for anderson-verify"),
+        ("command = solve-selfcomm\ntype = A\ninput = T.txt\ntol.residual = 1e-300\n",
+         "unknown tolerance 'residual' for solve-selfcomm"),
+        ("command = solve-selfcomm\ntype = B\ninput = T.txt\n",
+         "unknown solve-selfcomm type 'B'"),
+        ("command = staircase\n", "staircase needs input"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, body, message):
+        config = tmp_path / "job.cfg"
+        config.write_text(body + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert message in one_line(capsys, "error:")
+
+    def test_common_keys_valid_everywhere(self, tmp_path):
+        for command in cli.COMMANDS:
+            cfg = parse_config(f"command = {command}\nseed = 3\noutput_dir = o\n"
+                               "report = r.csv\n")
+            assert (cfg.seed, cfg.output_dir, cfg.report_path) == (3, "o", "r.csv")
+
+    def test_honoured_tolerance_still_reaches_its_check(self, tmp_path, capsys):
+        code = main(["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--blocks", "6",
+                     "--tol", "verify=1e-30", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_TOLERANCE
+        one_line(capsys, "verification failure:")
+
+
+class TestNumericFailures:
+    def test_staircase_stream_failure_exits_4(self, tmp_path, inputs, capsys):
+        code = main(["staircase", "--input", str(inputs / "H0.txt"), "--tol", "band=10",
+                     "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        one_line(capsys, "numeric failure:")
+        assert not (tmp_path / "unitary.txt").exists()
+
+    def test_staircase_stream_failure_exits_4_under_optimize(self, tmp_path, inputs):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "commlab.cli", "staircase",
+             "--input", str(inputs / "H0.txt"), "--tol", "band=10",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_NUMERIC
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:"), proc.stderr
+        assert not (tmp_path / "unitary.txt").exists()
+
+    @pytest.mark.parametrize("solver, name", [("A", "T.txt"), ("C", "C.txt")])
+    def test_eigh_failure_exits_4(self, tmp_path, inputs, capsys, monkeypatch, solver, name):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = main(["solve-selfcomm", "--type", solver, "--input", str(inputs / name),
+                     "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        assert "did not converge" in one_line(capsys, "numeric failure:")

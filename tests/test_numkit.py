@@ -132,12 +132,30 @@ class TestHermitianEigen:
         with pytest.raises(numkit.DomainError):
             numkit.hermitian_eigen(random_complex(rng, 4))
 
+    def test_eigh_failure_is_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(numkit.NumericError, match="did not converge"):
+            numkit.hermitian_eigen(np.eye(3))
+
 
 class TestGramSchmidt:
     def test_standard_basis(self):
         basis, accepted = numkit.gram_schmidt([np.eye(2)[:, 0], np.eye(2)[:, 1]])
         assert np.abs(basis - np.eye(2)).max() == 0.0
         assert accepted == [0, 1]
+
+    def test_step_rejection_rule(self):
+        e1, e2 = np.eye(2, dtype=complex)[:, 0], np.eye(2, dtype=complex)[:, 1]
+        basis = e1[:, None]
+        assert numkit.gram_schmidt_step(3 * e1, basis) is None
+        assert np.array_equal(numkit.gram_schmidt_step(2 * e2 + 1e-3 * e1, basis), e2)
+        # residual norm 0.1 against the bound tolerance * (1 + ||v||)
+        v = 0.1 * e2 + 5.0 * e1
+        assert numkit.gram_schmidt_step(v, basis, tolerance=0.1 / 6.0 * 1.01) is None
+        assert numkit.gram_schmidt_step(v, basis, tolerance=0.1 / 6.0 * 0.99) is not None
 
     def test_dependent_vector_skipped(self):
         e1, e2 = np.eye(2)[:, 0], np.eye(2)[:, 1]

@@ -61,6 +61,28 @@ class TestStaircaseForm:
         with pytest.raises(numkit.ShapeError):
             staircase.staircase_form([random_complex(rng, 3), random_complex(rng, 4)])
 
+    def test_stream_that_cannot_span_raises(self, rng):
+        # Every offer is rejected at tolerance 10, so no basis can form.
+        with pytest.raises(numkit.NumericError, match="spanned only 0 of 5"):
+            staircase.staircase_form([random_hermitian(rng, 5)], tolerance=10.0)
+
+    @pytest.mark.parametrize("ops, selfadjoint, offers", [
+        ([np.diag([1.0, 2.0, 3.0, 4.0])], True, 7),
+        ([OPTIMAL_A], False, 5),
+        ([np.diag(np.arange(6.0)), np.eye(6, k=1) + np.eye(6, k=-1)], True, 15),
+    ])
+    def test_one_projection_per_offer(self, monkeypatch, ops, selfadjoint, offers):
+        calls = []
+        project = numkit.project_residual
+
+        def counted(v, basis):
+            calls.append(basis.shape[1])
+            return project(v, basis)
+
+        monkeypatch.setattr(numkit, "project_residual", counted)
+        staircase.staircase_form(ops, selfadjoint_hint=selfadjoint)
+        assert len(calls) == offers
+
     def test_deterministic(self, rng):
         ops = [random_complex(rng, 10)]
         r1 = staircase.staircase_form(ops)
