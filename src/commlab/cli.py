@@ -260,6 +260,7 @@ class Option:
 
     ``kind`` is str, int, bool (a bare flag; true/false/0/1 in a file) or tuple
     (``--input A``, or ``--input A B ...`` with ``many``; comma-separated in a file).
+    ``actions`` names the actions that read the option; empty means all of them.
     """
 
     key: str
@@ -271,6 +272,7 @@ class Option:
     choices: tuple[str, ...] = ()
     many: bool = False
     help: str | None = None
+    actions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -307,8 +309,10 @@ COMMANDS = {
     "lie": Command(_run_lie, "Killing form / semisimplicity / sl solver", (
         Option("action", "action", "action", default="killing",
                choices=("killing", "semisimple", "solve-sl")),
-        Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)"),
-        _INPUT, _OUT,
+        Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)",
+               actions=("killing", "semisimple")),
+        dataclasses.replace(_INPUT, actions=("solve-sl",)),
+        dataclasses.replace(_OUT, actions=("solve-sl",)),
     )),
     "minimize": Command(_run_minimize, "penalty search for the norm minimum", (
         Option("target", "target", "--target", required=True),
@@ -318,8 +322,9 @@ COMMANDS = {
     )),
     "seq": Command(_run_seq, "sequence classifiers", (
         Option("action", "action", "action", default="classify", choices=("classify", "mean")),
-        Option("family", "family", "--family"),
-        _INPUT, _OUT,
+        Option("family", "family", "--family", actions=("classify",)),
+        dataclasses.replace(_INPUT, actions=("mean",)),
+        dataclasses.replace(_OUT, actions=("mean",)),
     )),
 }
 
@@ -358,6 +363,14 @@ def _build_config(command: str, values: dict[str, object]) -> RunConfig:
         else:
             raise ConfigError(f"unknown key {key!r} for {command} "
                               f"(it takes: {', '.join(options)})")
+    act = options.get("action")
+    action = fields.get("action", act.default) if act else None
+    if act and action in act.choices:  # run() rejects an unknown action
+        takes = [o.key for o in options.values() if not o.actions or action in o.actions]
+        for key in values:
+            if key in options and key not in takes:
+                raise ConfigError(f"{command} {action} does not read {key!r} "
+                                  f"(it takes: {', '.join(takes)})")
     return RunConfig(command=command, **fields)
 
 
@@ -451,7 +464,8 @@ def _epilog() -> str:
         flag = " ".join([opt.flag if opt.flag.startswith("-") else "positional",
                          "|".join(opt.choices)])
         default = "" if opt.default in (None, ()) else f", {opt.default}"
-        return f"{opt.key} ({flag.strip()}{default})"
+        only = f", {'|'.join(opt.actions)} only" if opt.actions else ""
+        return f"{opt.key} ({flag.strip()}{default}{only})"
 
     rows = [("every command", "command, " + ", ".join(map(describe, COMMON))
              + ", tol.NAME (--tol NAME=VALUE)")]

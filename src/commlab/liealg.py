@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkit, selfcomm
-from .numkit import DomainError
+from .numkit import DomainError, NumericError
 from .report import SolveReport
 
 SPAN_RTOL = 1e-8
+_NOT_CLOSED = "a bracket (basis not closed?)"
 
 
 class SlRootData:
@@ -31,21 +32,21 @@ class SlRootData:
         self.rank = rank
         self.dimension = rank + 1
         n = self.dimension
-        self._units: dict[tuple[int, int], np.ndarray] = {}
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                m = np.zeros((n, n), dtype=np.complex128)
-                m[j - 1, k - 1] = 1.0
-                self._units[(j, k)] = m
+        # _units[j-1, k-1] is E_jk.
+        self._units = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
         self._validate()
 
     def _validate(self) -> None:
         n = self.dimension
-        zero = np.zeros((n, n), dtype=np.complex128)
-        for (j, k), ejk in self._units.items():
-            for (q, l), eql in self._units.items():
-                expect = self._units[(j, l)] if k == q else zero
-                if not np.array_equal(ejk @ eql, expect):
+        units = self._units
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                # E_jk E_ql for every (q, l) at once: E_jl where q = k, else 0.
+                got = units[j - 1, k - 1] @ units
+                expect = np.zeros_like(units)
+                expect[k - 1] = units[j - 1]
+                if not np.array_equal(got, expect):
+                    q, l, _, _ = np.argwhere(got != expect)[0] + 1
                     raise numkit.VerificationError(
                         f"matrix-unit relation fails at E_{j}{k} E_{q}{l}"
                     )
@@ -60,7 +61,7 @@ class SlRootData:
                     )
 
     def unit(self, j: int, k: int) -> np.ndarray:
-        return self._units[(j, k)].copy()
+        return self._units[j - 1, k - 1].copy()
 
     def h(self, j: int) -> np.ndarray:
         """Cartan basis element H_j = E_jj - E_{j+1,j+1}, 1 <= j <= rank."""
@@ -92,34 +93,40 @@ def _basis_stack(algebra_basis) -> tuple[list[np.ndarray], np.ndarray, np.ndarra
     if any(g.shape[0] != n for g in mats):
         raise numkit.ShapeError("basis matrices must share one dimension")
     stack = np.column_stack([g.reshape(-1) for g in mats])
-    pinv = np.linalg.pinv(stack)
+    try:
+        pinv = np.linalg.pinv(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"pseudo-inverse did not converge on shape {stack.shape}: "
+                           f"{exc}") from exc
     return mats, stack, pinv
 
 
-def _expand(m: np.ndarray, stack: np.ndarray, pinv: np.ndarray) -> tuple[np.ndarray, float]:
-    vec = m.reshape(-1)
-    coef = pinv @ vec
-    residual = float(np.linalg.norm(stack @ coef - vec))
-    return coef, residual
-
-
-def _require_in_span(m: np.ndarray, stack: np.ndarray, pinv: np.ndarray,
-                     what: str) -> np.ndarray:
-    coef, residual = _expand(m, stack, pinv)
-    if residual > SPAN_RTOL * (1.0 + float(np.linalg.norm(m))):
+def _expansion(vecs: np.ndarray, stack: np.ndarray, pinv: np.ndarray,
+               what: str) -> np.ndarray:
+    """Basis coefficients of each column of ``vecs``; DomainError for the first
+    column whose least-squares residual exceeds SPAN_RTOL * (1 + its norm)."""
+    coef = pinv @ vecs
+    residual = np.linalg.norm(stack @ coef - vecs, axis=0)
+    outside = np.flatnonzero(residual > SPAN_RTOL * (1.0 + np.linalg.norm(vecs, axis=0)))
+    if outside.size:
         raise DomainError(f"{what} lies outside the span of the basis "
-                          f"(expansion residual {residual:.3e})")
+                          f"(expansion residual {residual[outside[0]]:.3e})")
     return coef
 
 
-def _ad_matrix(x: np.ndarray, mats: list[np.ndarray], stack: np.ndarray,
-               pinv: np.ndarray) -> np.ndarray:
-    cols = []
-    for g in mats:
-        bracket = x @ g - g @ x
-        cols.append(_require_in_span(bracket, stack, pinv,
-                                     "a bracket (basis not closed?)"))
-    return np.column_stack(cols)
+def _brackets(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Row-major vecs of [x, g] for every basis element g, as columns.
+
+    (x (x) I - I (x) x^T) vec(g) is the row-major vec of xg - gx, so one
+    product brackets x with the whole basis.
+    """
+    eye = np.eye(x.shape[0])
+    return (np.kron(x, eye) - np.kron(eye, x.T)) @ stack
+
+
+def _ad(x: np.ndarray, stack: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """ad(x) in the basis whose row-major vecs are the columns of ``stack``."""
+    return _expansion(_brackets(x, stack), stack, pinv, _NOT_CLOSED)
 
 
 def killing_form(x, w, algebra_basis) -> complex:
@@ -129,36 +136,47 @@ def killing_form(x, w, algebra_basis) -> complex:
     closed under brackets (least-squares expansion residual at most 1e-8
     relative); violations raise DomainError.
     """
-    mats, stack, pinv = _basis_stack(algebra_basis)
+    _, stack, pinv = _basis_stack(algebra_basis)
     x = numkit.as_square(x)
     w = numkit.as_square(w)
-    _require_in_span(x, stack, pinv, "first argument")
-    _require_in_span(w, stack, pinv, "second argument")
-    ad_x = _ad_matrix(x, mats, stack, pinv)
-    ad_w = _ad_matrix(w, mats, stack, pinv)
+    _expansion(x.reshape(-1, 1), stack, pinv, "first argument")
+    _expansion(w.reshape(-1, 1), stack, pinv, "second argument")
+    # Expanded one column at a time: a matrix-vector product rounds the
+    # reported value exactly as before, where one matrix product would not.
+    ad_x, ad_w = (np.hstack([_expansion(b[:, None], stack, pinv, _NOT_CLOSED)
+                             for b in _brackets(v, stack).T]) for v in (x, w))
     return complex(np.trace(ad_x @ ad_w))
+
+
+def killing_gram(algebra_basis) -> np.ndarray:
+    """G_mn = B(g_m, g_n) on a linearly independent, bracket-closed basis.
+
+    Linearly dependent or non-closed bases raise DomainError; a failed SVD
+    or pseudo-inverse raises NumericError.
+    """
+    mats, stack, pinv = _basis_stack(algebra_basis)
+    svals = numkit.singular_values(stack)
+    if svals.min() <= 1e-10 * svals.max():
+        raise DomainError("basis is not linearly independent")
+    dim = len(mats)
+    ads = np.empty((dim, dim, dim), dtype=np.complex128)
+    for a, g in enumerate(mats):
+        ads[a] = _ad(g, stack, pinv)
+    # Tr(ad_b ad_a) = sum_ij ad_b[i, j] ad_a[j, i]: row a is one product.
+    flat = ads.reshape(dim, dim * dim)
+    gram = np.empty((dim, dim), dtype=np.complex128)
+    for a in range(dim):
+        gram[a] = flat @ ads[a].T.reshape(-1)
+    return gram
 
 
 def is_semisimple(algebra_basis) -> bool:
     """Nondegeneracy of the Killing Gram matrix on a bracket-closed basis.
 
-    True iff the smallest singular value of G_mn = B(g_m, g_n) is at least
-    1e-8 times the largest.  Linearly dependent or non-closed bases raise
-    DomainError.
+    True iff the smallest singular value of the Gram matrix is at least
+    1e-8 times the largest; errors as for :func:`killing_gram`.
     """
-    mats, stack, pinv = _basis_stack(algebra_basis)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if svals.min() <= 1e-10 * svals.max():
-        raise DomainError("basis is not linearly independent")
-    ads = [_ad_matrix(g, mats, stack, pinv) for g in mats]
-    dim = len(mats)
-    gram = np.empty((dim, dim), dtype=np.complex128)
-    for a in range(dim):
-        for b in range(a, dim):
-            val = np.trace(ads[a] @ ads[b])
-            gram[a, b] = val
-            gram[b, a] = val
-    gsv = np.linalg.svd(gram, compute_uv=False)
+    gsv = numkit.singular_values(killing_gram(algebra_basis))
     if gsv.max() == 0.0:
         return False
     return bool(gsv.min() >= 1e-8 * gsv.max())

@@ -75,14 +75,17 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def trace_norm(a) -> float:
-    """Trace norm, computed as the sum of singular values."""
-    a = as_matrix(a)
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix; NumericError when the SVD does not converge."""
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge on shape {a.shape}: {exc}") from exc
-    return float(s.sum())
+
+
+def trace_norm(a) -> float:
+    """Trace norm, computed as the sum of singular values."""
+    return float(singular_values(as_matrix(a)).sum())
 
 
 def hermitian_defect(a) -> float:

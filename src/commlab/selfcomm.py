@@ -67,11 +67,10 @@ def solve_type_A(t) -> TypeASolution:
     weighted shift with weights sqrt(a_j), a_j = c_1 + ... + c_j; these are
     nonnegative because the sorted prefix sums of a zero-sum list are.
     """
-    t = numkit.require_hermitian(t)
-    scale = numkit.hs_norm(t)
-    if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + scale):
+    t = numkit.as_square(t)
+    eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
+    if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + numkit.hs_norm(t)):
         raise DomainError("trace-zero required")
-    eig = numkit.hermitian_eigen(t)
     sums = np.cumsum(eig.values)
     yhat = shift_from_partial_sums(sums[:-1], t.shape[0])
     y = eig.vectors @ yhat @ eig.vectors.conj().T

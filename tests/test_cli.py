@@ -444,7 +444,68 @@ class TestRejections:
         one_line(capsys, "verification failure:")
 
 
+class TestActionOptions:
+    """An option the chosen lie/seq action does not read is rejected, not ignored."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lie", "killing", "--n", "3", "--input", "/nonexistent.txt"],
+         "lie killing does not read 'input'"),
+        (["lie", "semisimple", "--out", "Y.txt"], "lie semisimple does not read 'out'"),
+        (["lie", "solve-sl", "--input", "T.txt", "--n", "4"],
+         "lie solve-sl does not read 'n'"),
+        (["seq", "classify", "--input", "v.txt"], "seq classify does not read 'input'"),
+        (["seq", "mean", "--family", "powerlog:1,1,2"], "seq mean does not read 'family'"),
+        (["seq", "mean", "--input", "v.txt", "--family", "powerlog:1,1,2"],
+         "seq mean does not read 'family'"),
+    ])
+    def test_argv_exits_2(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert message in one_line(capsys, "error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("command = lie\ninput = T.txt\n", "lie killing does not read 'input'"),
+        ("command = lie\naction = semisimple\nout = Y.txt\n",
+         "lie semisimple does not read 'out'"),
+        ("command = lie\naction = solve-sl\ninput = T.txt\nn = 4\n",
+         "lie solve-sl does not read 'n'"),
+        ("command = seq\ninput = v.txt\n", "seq classify does not read 'input'"),
+        ("command = seq\naction = mean\nfamily = powerlog:1,1,2\n",
+         "seq mean does not read 'family'"),
+    ])
+    def test_config_exits_2(self, tmp_path, capsys, body, message):
+        config = tmp_path / "job.cfg"
+        config.write_text(body + f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert message in one_line(capsys, "error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_action_reported_as_such(self, tmp_path, capsys):
+        config = tmp_path / "job.cfg"
+        config.write_text(f"command = lie\naction = bogus\ninput = T.txt\n"
+                          f"output_dir = {tmp_path}\n")
+        assert main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "unknown lie action 'bogus'" in one_line(capsys, "error:")
+
+    def test_restricted_options_name_real_actions(self):
+        for cmd in cli.COMMANDS.values():
+            action = next((o for o in cmd.options if o.key == "action"), None)
+            for opt in cmd.options:
+                assert set(opt.actions) <= set(action.choices if action else ())
+
+
 class TestNumericFailures:
+    @pytest.mark.parametrize("kernel", ["svd", "pinv"])
+    def test_lie_semisimple_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                    kernel):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, kernel, fail)
+        code = main(["lie", "semisimple", "--n", "3", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_NUMERIC
+        one_line(capsys, "numeric failure:")
+
     def test_staircase_stream_failure_exits_4(self, tmp_path, inputs, capsys):
         code = main(["staircase", "--input", str(inputs / "H0.txt"), "--tol", "band=10",
                      "--out-dir", str(tmp_path)])

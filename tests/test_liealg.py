@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import liealg_oracle
 from commlab import liealg, numkit, selfcomm
 from commlab.numkit import DomainError
 from conftest import random_complex, random_traceless_hermitian
@@ -95,6 +96,54 @@ class TestSemisimple:
         e = data.unit(1, 2)
         with pytest.raises(DomainError, match="independent"):
             liealg.is_semisimple([e, 2 * e])
+
+
+class TestAgainstLoopOracle:
+    """The Kronecker ad-matrices and row-by-row Gram against the per-pair loops."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sl_gram_entries_and_verdict(self, n):
+        basis = liealg.sl_basis(n - 1)
+        want = liealg_oracle.killing_gram(basis)
+        got = liealg.killing_gram(basis)
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+        assert liealg.is_semisimple(basis) == liealg_oracle.is_semisimple(basis) is True
+
+    def test_random_basis_of_sl3(self, rng):
+        # A generic basis: the ad-matrices are dense, not 0/1 patterns.
+        coords = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        units = liealg.sl_basis(2)
+        basis = [sum(c * u for c, u in zip(row, units)) for row in coords]
+        want = liealg_oracle.killing_gram(basis)
+        got = liealg.killing_gram(basis)
+        assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_abelian_verdict(self):
+        basis = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        assert liealg.is_semisimple(basis) is liealg_oracle.is_semisimple(basis) is False
+
+    def test_not_closed_rejected_by_both(self):
+        data = liealg.SlRootData(2)
+        basis = [data.unit(1, 2), data.unit(2, 1), data.unit(1, 3)]
+        for impl in (liealg, liealg_oracle):
+            with pytest.raises(DomainError, match="basis not closed"):
+                impl.killing_gram(basis)
+
+    def test_dependent_rejected_by_both(self):
+        e = liealg.SlRootData(1).unit(1, 2)
+        for impl in (liealg, liealg_oracle):
+            with pytest.raises(DomainError, match="independent"):
+                impl.killing_gram([e, 2 * e, e.T])
+
+
+class TestValidate:
+    def test_names_the_first_failing_pair(self):
+        data = liealg.SlRootData(2)
+        data._units = data._units.copy()
+        data._units[2, 0, 2, 1] = 1.0  # E_31 gains a stray entry at (3, 2)
+        # E_13 E_31 = E_11 + E_12 is the first product, in (j, k, q, l) order, to fail.
+        with pytest.raises(numkit.VerificationError, match="E_13 E_31"):
+            data._validate()
 
 
 class TestSolveSl:

@@ -82,6 +82,17 @@ class TestSolveTypeA:
         with pytest.raises(DomainError, match="trace-zero"):
             selfcomm.solve_type_A(np.diag([1.0, 1.0]))
 
+    def test_non_hermitian_reported_before_trace(self):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            selfcomm.solve_type_A(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_one_hermitian_check_per_solve(self, rng, monkeypatch):
+        calls = []
+        defect = numkit.hermitian_defect
+        monkeypatch.setattr(numkit, "hermitian_defect", lambda a: calls.append(1) or defect(a))
+        selfcomm.solve_type_A(random_traceless_hermitian(rng, 5))
+        assert len(calls) == 1
+
 
 class TestRearrange:
     def test_small_example_against_enumeration(self):
