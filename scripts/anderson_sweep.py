@@ -45,7 +45,7 @@ def main() -> int:
                 "min_interior_diagonal": min(means[:-2]),
                 "boundary_residual": rep.details["boundary_residual"],
             })
-            print(f"{name:>10s} blocks={bc:3d} dim={rep.details['dimension']:4d} "
+            print(f"{name:>10s} blocks={bc:5d} dim={rep.details['dimension']:8d} "
                   f"min_diag={min(means[:-2]):+.3e} "
                   f"boundary={rep.details['boundary_residual']:.3e}")
 

@@ -39,23 +39,35 @@ def _sqrt_run(n: int) -> np.ndarray:
     return np.sqrt(np.arange(1, n + 1, dtype=np.float64))
 
 
-def make_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled blocks (A_n, B_n, X_n, Y_n) for block index n >= 1.
+def block_runs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of the unscaled blocks (A_n, B_n, X_n, Y_n), n >= 1.
 
-    Operator norms: ||A_n|| = ||X_n|| = 1/sqrt(n) and
-    ||B_n|| = ||Y_n|| = sqrt(n)/(n+1).
+    Each block is one run of n values on a fixed offset: A_n and Y_n on the
+    main diagonal (from the top-left), X_n on the superdiagonal (+1) and
+    B_n on the subdiagonal (-1).
     """
     if n < 1:
         raise DomainError("block index must be >= 1")
     roots = _sqrt_run(n)
+    return roots[::-1] / n, -roots / (n + 1), roots / n, roots[::-1] / (n + 1)
+
+
+def make_blocks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unscaled dense blocks (A_n, B_n, X_n, Y_n) for block index n >= 1.
+
+    Operator norms: ||A_n|| = ||X_n|| = 1/sqrt(n) and
+    ||B_n|| = ||Y_n|| = sqrt(n)/(n+1).
+    """
+    a_run, b_run, x_run, y_run = block_runs(n)
+    i = np.arange(n)
     a = np.zeros((n, n + 1), dtype=np.complex128)
-    a[np.arange(n), np.arange(n)] = roots[::-1] / n
+    a[i, i] = a_run
     x = np.zeros((n, n + 1), dtype=np.complex128)
-    x[np.arange(n), np.arange(1, n + 1)] = roots / n
+    x[i, i + 1] = x_run
     b = np.zeros((n + 1, n), dtype=np.complex128)
-    b[np.arange(1, n + 1), np.arange(n)] = -roots / (n + 1)
+    b[i + 1, i] = b_run
     y = np.zeros((n + 1, n), dtype=np.complex128)
-    y[np.arange(n), np.arange(n)] = roots[::-1] / (n + 1)
+    y[i, i] = y_run
     return a, b, x, y
 
 
@@ -99,7 +111,10 @@ def identity_checks(n: int) -> SolveReport:
 
 @dataclass(frozen=True)
 class BlockTriDiagonalOperator:
-    """Ordered block lists before assembly.
+    """Ordered dense block lists before assembly.
+
+    The verifier never builds these; they serve the dense test oracle and
+    the benchmark's tracing only.
 
     Block n of ``super_blocks`` is n x (n+1) and block n of ``sub_blocks`` is
     (n+1) x n.  The diagonal blocks are zero, so the operator is fixed by
@@ -135,7 +150,12 @@ class BlockTriDiagonalOperator:
 
 def build_modified(weights: WeightSequence, block_count: int
                    ) -> tuple[BlockTriDiagonalOperator, BlockTriDiagonalOperator]:
-    """Scale every index-n block by sqrt(d_n) and return the pair (C, Z)."""
+    """Scale every index-n block by sqrt(d_n) and return the pair (C, Z).
+
+    Materialises all 4m dense blocks (O(m^3) memory).  The verifier works
+    on :func:`block_runs` instead; this serves the test oracles and the
+    benchmark's tracing only.
+    """
     if block_count < 1:
         raise DomainError("block_count must be >= 1")
     d = weights.values(block_count + 1)
@@ -163,8 +183,8 @@ def _block_offsets(block_count: int) -> list[int]:
 def assemble(op: BlockTriDiagonalOperator) -> np.ndarray:
     """Dense square matrix with blocks placed tri-diagonally.
 
-    The verifier never assembles; tests use this with
-    :func:`numkit.commutator` as the dense oracle for its block products.
+    The verifier never assembles; this serves tests, as the dense oracle
+    with :func:`numkit.commutator`, and the benchmark's tracing only.
     """
     m = op.block_count
     dim = op.dimension
@@ -187,15 +207,29 @@ def telescoped_profile(d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_runs(scale: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    s = scale[n - 1]
+    return tuple(s * run for run in block_runs(n))
+
+
 def verify_positive_commutator(weights: WeightSequence, block_count: int,
                                tolerance: float = numkit.DEFAULT_TOL) -> SolveReport:
     """Certify the structure of [C, Z] at the given truncation.
 
     C and Z are block tri-diagonal with zero diagonal blocks, so block
     (i, j) of [C, Z] is a sum over block rows i +- 1 and vanishes unless
-    j is i or i +- 2.  Only those diagonal and two-step shift blocks are
-    formed, each from products of blocks of size at most m+1: O(m^4) for
-    m blocks, where the dense (m+1)(m+2)/2-square commutator costs O(m^6).
+    j is i or i +- 2.  Every scaled block is one run (a, b, x, y) of
+    :func:`block_runs` times sqrt(d_n), so every product of two blocks is
+    one run too: diagonal block k of [C, Z] is the diagonal matrix
+
+        [0, b x]_{k-1} - [y a, 0]_{k-1} + (a y - x b)_k
+
+    (the first two terms absent at k = 1, the last at k = m+1), and the
+    two-step shift blocks (k, k+2) and (k+2, k) are the single diagonals
+    a_k x_{k+1}[:k] - x_k a_{k+1}[1:] and b_{k+1}[:k] y_k - y_{k+1}[1:] b_k.
+    One pass over k keeps only the products y a, b x of index k-1 and the
+    runs of indices k and k+1, so m blocks (dense dimension (m+1)(m+2)/2)
+    take O(m^2) time and O(m) memory; no block is ever materialised.
 
     Report rows: (a) ``off_tridiagonal_mass``, the mass outside the block
     pentadiagonal support, is structural and therefore exactly 0.0;
@@ -209,9 +243,9 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
         raise DomainError("block_count must be >= 3")
     start = time.perf_counter()
     d = weights.values(block_count + 1)
-    c_op, z_op = build_modified(weights, block_count)
-    c_sup, c_sub = c_op.super_blocks, c_op.sub_blocks
-    z_sup, z_sub = z_op.super_blocks, z_op.sub_blocks
+    if (d < 0).any():
+        raise DomainError("weights must be nonnegative")
+    scale = np.sqrt(d)
     nblocks = block_count + 1
     predicted = telescoped_profile(d)
 
@@ -220,36 +254,43 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
     off_mass = 0.0
     shift_interior = 0.0
     shift_boundary = 0.0
-    for k in range(1, nblocks - 1):
-        # Blocks (k, k+2) and (k+2, k), both through block row k+1.
-        up = c_sup[k - 1] @ z_sup[k] - z_sup[k - 1] @ c_sup[k]
-        down = c_sub[k] @ z_sub[k - 1] - z_sub[k] @ c_sub[k - 1]
-        mass = max(np.abs(up).max(), np.abs(down).max())
-        if k + 2 <= nblocks - 2:
-            shift_interior = max(shift_interior, mass)
-        else:
-            shift_boundary = max(shift_boundary, mass)
-
     block_means = np.empty(nblocks)
     diag_dev = 0.0
     boundary_residual = 0.0
     failures: list[int] = []
+    runs = _scaled_runs(scale, 1)
     for k in range(1, nblocks + 1):
-        # Diagonal block k, through block rows k-1 and k+1; the last block
-        # row has no row below it, which is where truncation shows.
-        blk = np.zeros((k, k), dtype=np.complex128)
+        # Diagonal block k: index k-1 gives [0, b x] - [y a, 0] and index k
+        # gives a y - x b.  The last block has no index k, which is where
+        # truncation shows.  The diagonal stays complex because np.mean
+        # scales a complex sum by 1/k; a real mean would round block_means
+        # differently from the dense block's.
+        blk = np.zeros(k, dtype=np.complex128)
         if k >= 2:
-            blk += c_sub[k - 2] @ z_sup[k - 2] - z_sub[k - 2] @ c_sup[k - 2]
+            blk[1:] += bx
+            blk[:-1] -= ay
         if k <= block_count:
-            blk += c_sup[k - 1] @ z_sub[k - 1] - z_sup[k - 1] @ c_sub[k - 1]
-        block_means[k - 1] = float(np.mean(np.diag(blk)).real)
-        dev = float(np.abs(blk - predicted[k - 1] * np.eye(k)).max())
+            a, b, x, y = runs
+            ay, bx = a * y, b * x
+            blk += ay - bx
+        block_means[k - 1] = float(np.mean(blk).real)
+        dev = float(np.abs(blk - predicted[k - 1]).max())
         if k <= nblocks - 2:
             diag_dev = max(diag_dev, dev)
             if dev > tolerance:
                 failures.append(k)
         else:
             boundary_residual = max(boundary_residual, dev)
+        if k < block_count:
+            # Blocks (k, k+2) and (k+2, k), both through block row k+1.
+            runs = a1, b1, x1, y1 = _scaled_runs(scale, k + 1)
+            up = a * x1[:k] - x * a1[1:]
+            down = b1[:k] * y - y1[1:] * b
+            mass = max(np.abs(up).max(), np.abs(down).max())
+            if k + 2 <= nblocks - 2:
+                shift_interior = max(shift_interior, mass)
+            else:
+                shift_boundary = max(shift_boundary, mass)
 
     rep = SolveReport(command="anderson-verify")
     rep.check("off_tridiagonal_mass", off_mass, tolerance)
@@ -260,7 +301,7 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
         predicted_profile=predicted,
         boundary_residual=boundary_residual,
         boundary_shift_mass=shift_boundary,
-        dimension=c_op.dimension,
+        dimension=nblocks * (nblocks + 1) // 2,
         weights=d,
     )
     rep.wall_time = time.perf_counter() - start

@@ -204,11 +204,11 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues with modulus below 1e-9 * ||T||_F count as zero and their
     (even-dimensional) eigenspace is paired internally through Jt.
     """
-    t = numkit.require_hermitian(t)
+    t = numkit.as_square(t)
+    eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
     scale = numkit.hs_norm(t)
     if sp_defect(t, j) > 1e-9 * (1.0 + scale):
         raise DomainError("not in sp up to tolerance")
-    eig = numkit.hermitian_eigen(t)
     w = eig.values
     sorted_w = np.sort(w)
     if np.abs(sorted_w + sorted_w[::-1]).max() > 1e-8 * (1.0 + scale):

@@ -1,10 +1,15 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
+from anderson_oracle import block_product_figures
 
-from commlab import anderson, numkit
+from commlab import anderson, cli, numkit
 from commlab.numkit import DomainError, VerificationError
 from commlab.sequences import WeightSequence
 
@@ -53,6 +58,13 @@ class TestMakeBlocks:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             anderson.make_blocks(0)
+
+    def test_runs_are_the_nonzero_entries(self):
+        for n in (1, 2, 5):
+            blocks = anderson.make_blocks(n)
+            for blk, run, offset in zip(blocks, anderson.block_runs(n), (0, -1, 1, 0)):
+                assert np.array_equal(np.diagonal(blk, offset)[:n], run)
+                assert np.count_nonzero(blk) == n
 
 
 class TestIdentityChecks:
@@ -178,16 +190,57 @@ class TestVerifyPositiveCommutator:
         assert rep.details["dimension"] == 7381
         assert elapsed < 2.0
 
+    def test_480_blocks_fast(self):
+        # Dense dimension 116,281; the runs take O(m^2) time.
+        weights = WeightSequence.powerlog(1.0, 0.5, count=481)
+        anderson.verify_positive_commutator(weights, 8)
+        t0 = time.perf_counter()
+        rep = anderson.verify_positive_commutator(weights, 480)
+        elapsed = time.perf_counter() - t0
+        assert rep.passed and rep.details["dimension"] == 481 * 482 // 2
+        assert elapsed < 0.25
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            anderson.verify_positive_commutator(
+                WeightSequence.explicit([1.0, 2.0, -1.0, 3.0, 4.0]), 4)
+
+    def test_large_truncation_under_address_space_cap(self, tmp_path):
+        # 2000 blocks: dense dimension about 2e6.  Building the blocks
+        # densely would need O(m^3) memory (tens of GB); the runs need
+        # O(m).  The cap applies to the child process only; one BLAS thread
+        # keeps the buffers OpenBLAS reserves per core out of the budget.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "commlab.cli", "anderson-verify",
+             "--weights", "powerlog:1,-0.5,0", "--blocks", "2000",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap)
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert lines[0] == "check_name,value,tolerance,pass"
+        assert len(lines) > 4 and all(line.endswith(",1") for line in lines[1:])
+        assert len((tmp_path / "blocks.csv").read_text().splitlines()) == 2002
+
 
 ORACLE_WEIGHTS = {
-    "sqrt": WeightSequence.powerlog(1.0, 0.5, count=31),
-    "log": WeightSequence.powerlog(1.0, 0.0, 1.0, count=31),
-    "cbrt": WeightSequence.powerlog(1.0, 1 / 3, count=31),
-    "constant": WeightSequence.powerlog(1.0, 0.0, 0.0, count=31),
-    "zero": WeightSequence.explicit([0.0] * 31),
+    "sqrt": WeightSequence.powerlog(1.0, 0.5, count=61),
+    "log": WeightSequence.powerlog(1.0, 0.0, 1.0, count=61),
+    "cbrt": WeightSequence.powerlog(1.0, 1 / 3, count=61),
+    "constant": WeightSequence.powerlog(1.0, 0.0, 0.0, count=61),
+    "zero": WeightSequence.explicit([0.0] * 61),
     "non_monotone": WeightSequence.explicit(
-        np.arange(1.0, 32.0) ** 0.5 * (1.5 + np.sin(np.arange(1.0, 32.0)))),
+        np.arange(1.0, 62.0) ** 0.5 * (1.5 + np.sin(np.arange(1.0, 62.0)))),
 }
+
+# The weight strings of the benchmark's anderson-verify jobs.
+BENCHMARK_WEIGHTS = ("powerlog:1,-0.5,0", "powerlog:1,0,-1",
+                     "powerlog:1,-0.3333333333333333,0")
 
 
 def dense_oracle(weights: WeightSequence, block_count: int) -> dict:
@@ -245,9 +298,46 @@ class TestDenseOracle:
         def dense_path(*args):
             raise AssertionError("verifier took the dense path")
 
-        monkeypatch.setattr(numkit, "commutator", dense_path)
-        monkeypatch.setattr(anderson, "assemble", dense_path)
+        # No dense block either: the verifier works on block_runs alone.
+        for module, name in ((numkit, "commutator"), (anderson, "assemble"),
+                             (anderson, "build_modified"), (anderson, "make_blocks")):
+            monkeypatch.setattr(module, name, dense_path)
         assert anderson.verify_positive_commutator(SQRT_N, 12).passed
+
+
+def oracle_cases():
+    for name in sorted(ORACLE_WEIGHTS):
+        yield pytest.param(ORACLE_WEIGHTS[name], id=name)
+    for text in BENCHMARK_WEIGHTS:
+        yield pytest.param(cli.parse_weights(text, count=61), id=text)
+
+
+class TestBlockProductOracle:
+    """The run verifier against the dense block products it replaced."""
+
+    @pytest.mark.parametrize("weights", oracle_cases())
+    def test_bit_identical(self, weights):
+        for block_count in range(3, 61):
+            want = block_product_figures(weights, block_count, numkit.DEFAULT_TOL)
+            assert want["failures"] == []
+            rep = anderson.verify_positive_commutator(weights, block_count)
+            assert {row.name: row.measured for row in rep.checks} == want["checks"]
+            for key in ("block_means", "predicted_profile"):
+                got = rep.details[key]
+                assert got.tobytes() == want[key].tobytes(), (key, block_count)
+            for key in ("boundary_residual", "boundary_shift_mass", "dimension"):
+                assert rep.details[key] == want[key], (key, block_count)
+
+    @pytest.mark.parametrize("weights", oracle_cases())
+    def test_same_failing_blocks(self, weights):
+        for block_count in (3, 17, 40):
+            want = block_product_figures(weights, block_count, 1e-17)
+            if not want["failures"]:
+                assert anderson.verify_positive_commutator(weights, block_count, 1e-17).passed
+                continue
+            with pytest.raises(VerificationError) as err:
+                anderson.verify_positive_commutator(weights, block_count, 1e-17)
+            assert str(err.value).startswith(f"diagonal block(s) {want['failures']} ")
 
 
 class TestAdmissible:

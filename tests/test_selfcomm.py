@@ -276,6 +276,20 @@ class TestSolveTypeC:
             want = np.sort(np.linalg.eigvalsh(t))
             assert np.abs(got - want).max() <= 1e-7
 
+    def test_non_hermitian_rejected_as_such(self, rng):
+        j = selfcomm.make_anticonjugation(3)
+        for t in (random_sp(rng, j), np.triu(np.ones((6, 6)))):
+            with pytest.raises(DomainError, match="not Hermitian"):
+                selfcomm.solve_type_C(t, j)
+
+    def test_one_hermitian_check_per_solve(self, rng, monkeypatch):
+        calls = []
+        defect = numkit.hermitian_defect
+        monkeypatch.setattr(numkit, "hermitian_defect", lambda a: calls.append(1) or defect(a))
+        j = selfcomm.make_anticonjugation(4)
+        assert selfcomm.solve_type_C(random_sp_hermitian(rng, j), j).passed
+        assert len(calls) == 1
+
 
 class TestSplitTypeC:
     def test_hermitian_input_kills_skew_branch(self, rng):
