@@ -1,7 +1,8 @@
 """Run every commlab subcommand on fixed inputs and keep all artifacts.
 
 Covers anderson-verify, staircase (plain and self-adjoint), solve-selfcomm
-(types A and C), every lie action, minimize and every seq action, each with
+(types A and C, and type C on a low-rank input with a 12-dimensional
+kernel), every lie action, minimize and every seq action, each with
 a fixed seed, into one directory per case.  Two checkouts can be compared
 file by file:
 
@@ -55,7 +56,7 @@ def inputs(root: str) -> dict[str, str]:
     sp = (h + s @ h.T @ s) / 2.0
     general = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     p = os.path.join
-    return {
+    files = {
         "T": write_matrix(p(root, "T.txt"), t),
         "C": write_matrix(p(root, "C.txt"), sp),
         "H0": write_matrix(p(root, "H0.txt"), hermitian(rng, 9)),
@@ -65,6 +66,12 @@ def inputs(root: str) -> dict[str, str]:
         "values": write_values(p(root, "values.txt"), rng.standard_normal(40)),
         "weights": write_values(p(root, "weights.txt"), np.sqrt(np.arange(1.0, 12.0))),
     }
+    # Rank 4 in sp on C^16: the sp average of a rank-2 Hermitian G G*.
+    g = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    s16 = np.block([[np.zeros((8, 8)), np.eye(8)], [-np.eye(8), np.zeros((8, 8))]])
+    low = g @ g.conj().T
+    files["K"] = write_matrix(p(root, "K.txt"), (low + s16 @ low.T @ s16) / 2.0)
+    return files
 
 
 def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
@@ -80,6 +87,7 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
         "selfcomm-A": ["solve-selfcomm", "--type", "A", "--input", f["T"],
                        "--out", os.path.join(out, "selfcomm-A", "solution.txt")],
         "selfcomm-C": ["solve-selfcomm", "--type", "C", "--input", f["C"]],
+        "selfcomm-C-kernel": ["solve-selfcomm", "--type", "C", "--input", f["K"]],
         "lie-killing": ["lie", "killing", "--n", "4", "--seed", "5",
                         "--report", os.path.join(out, "lie-killing", "killing.csv")],
         "lie-semisimple": ["lie", "semisimple", "--n", "3"],

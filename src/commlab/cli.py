@@ -151,18 +151,11 @@ def _run_staircase(cfg: RunConfig) -> SolveReport:
 def _run_selfcomm(cfg: RunConfig) -> SolveReport:
     t = matio.load_matrix(cfg.inputs[0])
     if cfg.solver_type == "A":
-        sol = selfcomm.solve_type_A(t)
-        rep = SolveReport(command="solve-selfcomm type=A")
-        rep.check("residual", sol.residual, 1e-9 * (1.0 + numkit.hs_norm(t)))
-        worst = float(-sol.partial_sums.min()) if sol.partial_sums.size else 0.0
-        rep.check("partial_sum_negativity", max(worst, 0.0), 1e-12)
-        rep.info("solution_hs_norm", numkit.hs_norm(sol.solution))
-        rep.matrices["Y"] = sol.solution
+        rep = selfcomm.solve_type_A(t)
+    elif t.shape[0] % 2:
+        raise DomainError("type C needs even dimension")
     else:
-        if t.shape[0] % 2:
-            raise DomainError("type C needs even dimension")
-        j = selfcomm.make_anticonjugation(t.shape[0] // 2)
-        rep = selfcomm.solve_type_C(t, j)
+        rep = selfcomm.solve_type_C(t, selfcomm.make_anticonjugation(t.shape[0] // 2))
     _save(rep, cfg, "Y.txt", matio.save_matrix, rep.matrices["Y"], cfg.out)
     return rep
 
@@ -274,6 +267,9 @@ class Option:
     help: str | None = None
     actions: tuple[str, ...] = ()
 
+    def read_by(self, action: str | None) -> bool:
+        return not self.actions or action in self.actions
+
 
 @dataclass(frozen=True)
 class Command:
@@ -286,11 +282,11 @@ class Command:
 # Keys every command takes, besides ``command`` and ``tol.NAME``.
 COMMON = (
     Option("output_dir", "output_dir", "--out-dir", default=".", help="artifact directory"),
-    Option("seed", "seed", "--seed", int, 0),
     Option("report", "report_path", "--report", help="report CSV path"),
 )
 _INPUT = Option("input", "inputs", "--input", tuple, ())
 _OUT = Option("out", "out", "--out")
+_SEED = Option("seed", "seed", "--seed", int, 0, help="random seed (COMMLAB_SEED overrides)")
 
 COMMANDS = {
     "anderson-verify": Command(_run_anderson, "certify [C,Z] for a weight family", (
@@ -311,6 +307,7 @@ COMMANDS = {
                choices=("killing", "semisimple", "solve-sl")),
         Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)",
                actions=("killing", "semisimple")),
+        dataclasses.replace(_SEED, actions=("killing",)),
         dataclasses.replace(_INPUT, actions=("solve-sl",)),
         dataclasses.replace(_OUT, actions=("solve-sl",)),
     )),
@@ -318,6 +315,7 @@ COMMANDS = {
         Option("target", "target", "--target", required=True),
         Option("restarts", "restarts", "--restarts", int, 50),
         Option("max_iters", "max_iters", "--max-iters", int, 20000),
+        _SEED,
         dataclasses.replace(_OUT, help="restart CSV path"),
     )),
     "seq": Command(_run_seq, "sequence classifiers", (
@@ -366,7 +364,7 @@ def _build_config(command: str, values: dict[str, object]) -> RunConfig:
     act = options.get("action")
     action = fields.get("action", act.default) if act else None
     if act and action in act.choices:  # run() rejects an unknown action
-        takes = [o.key for o in options.values() if not o.actions or action in o.actions]
+        takes = [o.key for o in options.values() if o.read_by(action)]
         for key in values:
             if key in options and key not in takes:
                 raise ConfigError(f"{command} {action} does not read {key!r} "
@@ -420,7 +418,9 @@ def run(config: RunConfig) -> SolveReport:
         if opt.choices and value not in opt.choices:
             raise ConfigError(f"unknown {config.command} {opt.key} {value!r}")
     env_seed = os.environ.get("COMMLAB_SEED")
-    if env_seed is not None:
+    action = changes.get("action", config.action)
+    if env_seed is not None and any(opt.key == "seed" and opt.read_by(action)
+                                    for opt in entry.options):
         try:
             changes["seed"] = int(env_seed)
         except ValueError:
@@ -454,7 +454,8 @@ formats:
                    separated list; unknown or duplicate keys, and keys or
                    tolerance names the command does not take, are rejected
 environment:
-  COMMLAB_SEED     overrides the configured seed
+  COMMLAB_SEED     overrides the seed of the commands that take one; the
+                   others ignore it
 config keys (flag, default) and tol.NAME tolerance names (default):
 """
 

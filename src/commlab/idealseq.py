@@ -1,8 +1,8 @@
 """Sequence-level ideal membership classifiers.
 
 Analytic summability tests for the closed-form power-log family (plain and
-log-weighted, by the integral test), signed-balance checks for candidate
-self-commutator spectra, and decreasing-moduli running means.
+log-weighted, by the integral test), partial-sum diagnostics for explicit
+term lists, and decreasing-moduli running means.
 """
 
 from __future__ import annotations
@@ -73,40 +73,6 @@ def classify_hsii(family: SequenceFamily, horizon: int = 4096) -> HsiiClassifica
         in_trace_class=None,
         in_commutator_class=None,
         diagnostics=_partial_sum_diagnostics(d),
-    )
-
-
-@dataclass(frozen=True)
-class TypeAPrefixReport:
-    """Balance of positive against negative mass over a finite prefix."""
-
-    positive_sum: float
-    negative_sum: float
-    defect: float
-    last_term: float
-    balanced: bool
-
-
-def is_type_A_prefix(values: Sequence[float], tail_tolerance: float = 1e-9
-                     ) -> TypeAPrefixReport:
-    """Compare the positive-part and negative-part sums of a signed prefix.
-
-    A finite absolutely-summable list is a valid spectrum for a plain
-    self-commutator exactly when the two sums agree, i.e. the total is zero;
-    ``balanced`` applies that criterion at ``tail_tolerance`` relative.
-    """
-    lam = np.asarray(values, dtype=np.float64).reshape(-1)
-    plus = float(np.where(lam > 0, lam, 0.0).sum())
-    minus = float(np.where(lam < 0, -lam, 0.0).sum())
-    defect = abs(plus - minus)
-    last = float(lam[-1]) if lam.size else 0.0
-    balanced = defect <= tail_tolerance * (1.0 + plus + minus)
-    return TypeAPrefixReport(
-        positive_sum=plus,
-        negative_sum=minus,
-        defect=defect,
-        last_term=last,
-        balanced=balanced,
     )
 
 

@@ -69,10 +69,6 @@ class SlRootData:
             raise DomainError(f"H index {j} outside 1..{self.rank}")
         return self.unit(j, j) - self.unit(j + 1, j + 1)
 
-    def simple_root_matrix(self, j: int) -> np.ndarray:
-        """Matrix inducing the simple-root functional through (j, j+1)."""
-        return self.h(j)
-
     def basis(self) -> list[np.ndarray]:
         """Off-diagonal units then H_1..H_r: a basis of sl(r+1, C)."""
         n = self.dimension
@@ -185,21 +181,19 @@ def is_semisimple(algebra_basis) -> bool:
 def solve_sl(a) -> SolveReport:
     """Root-space solution of [Y*, Y] = A for Hermitian traceless A.
 
-    Same pipeline as the plain type (A) solver, reported in root-space
-    vocabulary: the coefficient of H_j in the diagonalized target is the
-    partial sum a_j, and Y is the shift with weights sqrt(a_j) carried back
-    to the original coordinates.
+    The type (A) report in root-space vocabulary: the coefficient of H_j in
+    the diagonalized target is the partial sum a_j, j = 1..r, and Y is the
+    shift with weights sqrt(a_j) carried back to the original coordinates.
+    The rows are the residual, the worst negative coefficient and ||Y||_F.
     """
-    a = numkit.as_square(a)
-    sol = selfcomm.solve_type_A(a)
-    r = a.shape[0] - 1
-    coeffs = sol.partial_sums[:r]
-    rep = SolveReport(command="lie solve-sl")
-    rep.check("residual", sol.residual, 1e-9 * (1.0 + numkit.hs_norm(a)))
-    worst = float(-coeffs.min()) if r else 0.0
+    rep = selfcomm.solve_type_A(a)
+    coeffs = rep.details.pop("partial_sums")[:-1]
+    residual, _, norm = rep.checks
+    rep.command = "lie solve-sl"
+    rep.checks = [residual]
+    worst = float(-coeffs.min()) if coeffs.size else 0.0
     rep.check("coefficient_negativity", max(worst, 0.0), 1e-12)
-    rep.info("solution_hs_norm", numkit.hs_norm(sol.solution))
-    rep.matrices["Y"] = sol.solution
+    rep.checks.append(norm)
     rep.details["coefficients"] = coeffs
     return rep
 
@@ -216,6 +210,6 @@ def oberwolfach_split(a) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
         raise DomainError("trace-zero required")
     a1 = (a + a.conj().T) / 2.0
     a2 = (a - a.conj().T) / 2.0j
-    w1 = selfcomm.solve_type_A(a1).solution
-    w2 = selfcomm.solve_type_A(a2).solution
+    w1 = selfcomm.solve_type_A(a1).matrices["Y"]
+    w2 = selfcomm.solve_type_A(a2).matrices["Y"]
     return w1.conj().T, w1, 1j * w2.conj().T, w2

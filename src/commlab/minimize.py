@@ -367,19 +367,6 @@ def minimize_commutator(config: MinimizeConfig) -> MinimizeResult:
     )
 
 
-def diagonal_equations(a, b) -> np.ndarray:
-    """Diagonal of [A, B] through the entrywise bilinear expansion.
-
-    Entry i is sum_k (a_ik b_ki - b_ik a_ki); an independent path that must
-    agree with the diagonal of the matrix-product commutator.
-    """
-    a = numkit.as_square(a)
-    b = numkit.as_square(b)
-    if a.shape != b.shape:
-        raise numkit.ShapeError("dimension mismatch")
-    return np.einsum("ik,ki->i", a, b) - np.einsum("ik,ki->i", b, a)
-
-
 def verify_optimal_pair() -> SolveReport:
     """Certify the hard-coded optimal pair for diag(-1, 1/3, 1/3, 1/3).
 

@@ -1,15 +1,14 @@
 """Dense complex matrix kernel.
 
 Commutators, Hilbert-Schmidt and trace norms, Hermitian eigendecomposition,
-re-orthogonalized Gram-Schmidt and unitarity checks.  Everything downstream
-builds on these routines.  Scalars are double-precision complex throughout;
+a twice-projected Gram-Schmidt step and the unitary defect.  Everything
+downstream builds on these routines.  Scalars are double-precision complex throughout;
 there is no arbitrary-precision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -111,9 +110,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def descending_order(values: np.ndarray) -> np.ndarray:
     """Stable permutation sorting ``values`` non-increasing."""
@@ -163,43 +159,9 @@ def gram_schmidt_step(v: np.ndarray, basis: np.ndarray,
     return w / norm_w
 
 
-def gram_schmidt(
-    vectors: Sequence, tolerance: float = DEFAULT_TOL
-) -> tuple[np.ndarray, list[int]]:
-    """Orthonormalize ``vectors`` in order.
-
-    Returns ``(basis, accepted)`` where ``basis`` has orthonormal columns and
-    ``accepted`` lists the input indices that produced a new column.  A vector
-    is rejected (not an error) by the rule of :func:`gram_schmidt_step`.
-    """
-    vs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-    if not vs:
-        raise ShapeError("no vectors given")
-    dim = vs[0].size
-    if any(v.size != dim for v in vs):
-        raise ShapeError("vectors must share one dimension")
-    basis = np.zeros((dim, min(dim, len(vs))), dtype=np.complex128)
-    accepted: list[int] = []
-    k = 0
-    for idx, v in enumerate(vs):
-        if k == dim:
-            break
-        u = gram_schmidt_step(v, basis[:, :k], tolerance)
-        if u is None:
-            continue
-        basis[:, k] = u
-        accepted.append(idx)
-        k += 1
-    return basis[:, :k].copy(), accepted
-
-
 def unitary_defect(u) -> float:
     """||U*U - I||_F."""
     u = as_square(u)
     eye = np.eye(u.shape[0], dtype=np.complex128)
     return float(np.linalg.norm(u.conj().T @ u - eye))
 
-
-def is_unitary(u, tolerance: float = DEFAULT_TOL) -> bool:
-    """True when ||U*U - I||_F <= tolerance."""
-    return unitary_defect(u) <= tolerance

@@ -1,16 +1,16 @@
-"""Self-commutator solvers [Y*, Y] = T.
+"""Self-commutator solvers [Y*, Y] = T, each returning a SolveReport.
 
-Type (A) works over all matrices: diagonalize, sort eigenvalues descending
-so the partial sums are nonnegative, and build a weighted shift from their
-square roots.  Type (C) works inside the complex symplectic algebra cut out
-by an anti-conjugation: the spectrum pairs as (lambda, -lambda), and the
+Type (A) works over all matrices (Fan and Fong): diagonalize, sort the
+eigenvalues descending so the partial sums are nonnegative, and build a
+weighted shift from their square roots.  Type (C) works inside the complex
+symplectic algebra cut out by an anti-conjugation Jt: the spectrum pairs as
+(lambda, -lambda), the kernel is paired as (v, -Jt v) in one pass, and the
 solution is an anti-diagonal weighted shift between paired eigenvectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,104 +19,40 @@ from .numkit import DomainError, VerificationError
 from .report import SolveReport
 
 TRACE_RTOL = 1e-9
-PREFIX_SUM_FLOOR = -1e-12
 
 
 # ---------------------------------------------------------------------------
 # type (A): all compact / finite matrices
 
 
-def partial_sums_sorted(values: Sequence[float]) -> np.ndarray:
-    """Cumulative sums of the descending rearrangement.
-
-    For a list summing to zero every prefix sum of the descending order is
-    nonnegative; inputs whose total differs from 0 by more than 1e-9 are
-    rejected.
-    """
-    c = np.asarray(values, dtype=np.float64).reshape(-1)
-    if c.size and abs(float(c.sum())) > TRACE_RTOL * (1.0 + float(np.abs(c).sum())):
-        raise DomainError("trace-zero required")
-    return np.cumsum(np.sort(c)[::-1])
-
-
-@dataclass(frozen=True)
-class TypeASolution:
-    """Solver output for [Y*, Y] = T over plain matrices.
-
-    ``partial_sums`` are the cumulative sums a_j of the eigenvalues in
-    descending order, and ``residual`` is ||[Y*, Y] - T||_F.
-    """
-
-    partial_sums: np.ndarray
-    solution: np.ndarray
-    residual: float
-
-
-def shift_from_partial_sums(a: np.ndarray, dim: int) -> np.ndarray:
-    """Weighted shift with sqrt(a_j) in position (j+1, j), 1-based."""
-    y = np.zeros((dim, dim), dtype=np.complex128)
-    r = min(a.size, dim - 1)
-    y[np.arange(1, r + 1), np.arange(r)] = np.sqrt(np.clip(a[:r], 0.0, None))
-    return y
-
-
-def solve_type_A(t) -> TypeASolution:
+def solve_type_A(t) -> SolveReport:
     """Solve [Y*, Y] = T for Hermitian traceless T.
 
     In the eigenbasis with eigenvalues c_1 >= ... >= c_d the solution is the
-    weighted shift with weights sqrt(a_j), a_j = c_1 + ... + c_j; these are
-    nonnegative because the sorted prefix sums of a zero-sum list are.
+    weighted shift with sqrt(a_j) in position (j+1, j), a_j = c_1 + ... + c_j;
+    these are nonnegative because the sorted prefix sums of a zero-sum list
+    are.  The report rows are the residual ||[Y*, Y] - T||_F, the worst
+    negative partial sum and ||Y||_F; ``details["partial_sums"]`` holds a_j.
     """
     t = numkit.as_square(t)
     eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
-    if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + numkit.hs_norm(t)):
+    scale = numkit.hs_norm(t)
+    if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + scale):
         raise DomainError("trace-zero required")
     sums = np.cumsum(eig.values)
-    yhat = shift_from_partial_sums(sums[:-1], t.shape[0])
+    dim = t.shape[0]
+    yhat = np.zeros((dim, dim), dtype=np.complex128)
+    yhat[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(np.clip(sums[:-1], 0.0, None))
     y = eig.vectors @ yhat @ eig.vectors.conj().T
-    residual = numkit.hs_norm(numkit.self_commutator(y) - t)
-    return TypeASolution(partial_sums=sums, solution=y, residual=residual)
-
-
-@dataclass(frozen=True)
-class Rearrangement:
-    """Greedy order with nonnegative prefix sums, plus the final-sum defect."""
-
-    order: np.ndarray
-    defect: float
-
-
-def rearrange_type_A(values: Sequence[float]) -> Rearrangement:
-    """Greedy rearrangement keeping every prefix sum nonnegative.
-
-    Rule: with running sum s, take the largest unused negative term when
-    s plus that term stays nonnegative, otherwise the largest unused
-    nonnegative term.  If the nonnegative pool empties first the remaining
-    negatives are appended in descending order and the final-sum defect is
-    reported.
-    """
-    lam = np.asarray(values, dtype=np.float64).reshape(-1)
-    by_value = np.argsort(-lam, kind="stable")
-    pos = [i for i in by_value if lam[i] >= 0.0]
-    neg = [i for i in by_value if lam[i] < 0.0]
-    pos_at = 0
-    neg_at = 0
-    s = 0.0
-    order = np.empty(lam.size, dtype=np.int64)
-    for k in range(lam.size):
-        take_neg = False
-        if neg_at < len(neg):
-            if s + lam[neg[neg_at]] >= PREFIX_SUM_FLOOR or pos_at >= len(pos):
-                take_neg = True
-        if take_neg:
-            idx = neg[neg_at]
-            neg_at += 1
-        else:
-            idx = pos[pos_at]
-            pos_at += 1
-        s += lam[idx]
-        order[k] = idx
-    return Rearrangement(order=order, defect=abs(s))
+    rep = SolveReport(command="solve-selfcomm type=A")
+    rep.check("residual", numkit.hs_norm(numkit.self_commutator(y) - t),
+              1e-9 * (1.0 + scale))
+    worst = float(-sums.min()) if sums.size else 0.0
+    rep.check("partial_sum_negativity", max(worst, 0.0), 1e-12)
+    rep.info("solution_hs_norm", numkit.hs_norm(y))
+    rep.matrices["Y"] = y
+    rep.details["partial_sums"] = sums
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +116,6 @@ def sp_defect(x, j: AntiConjugation) -> float:
     return float(np.linalg.norm(x + j.adjoint_twist(x)))
 
 
-def in_sp(x, j: AntiConjugation, tolerance: float = 1e-9) -> bool:
-    """Membership test for the type (C) algebra X = -Jt X* Jt^{-1}."""
-    return sp_defect(x, j) <= tolerance
-
-
-def project_to_sp(x, j: AntiConjugation) -> np.ndarray:
-    """Average X onto the symplectic algebra: (X - Jt X* Jt^{-1}) / 2."""
-    x = numkit.as_square(x)
-    return (x - j.adjoint_twist(x)) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # type (C): spectral pairing and solver
 
@@ -201,8 +126,9 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(lam, basis)``: ``lam`` holds the m nonnegative eigenvalues in
     descending order and ``basis`` the columns (b_1..b_m, b_{-1}..b_{-m})
     where T b_n = lam_n b_n and b_{-n} = -Jt b_n spans the -lam_n eigenspace.
-    Eigenvalues with modulus below 1e-9 * ||T||_F count as zero and their
-    (even-dimensional) eigenspace is paired internally through Jt.
+    Eigenvalues with modulus below 1e-9 * ||T||_F count as zero; each of
+    their eigenvectors takes one Gram-Schmidt step against the kernel pairs
+    found so far and, unless rejected, adds the pair (v, -Jt v).
     """
     t = numkit.as_square(t)
     eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
@@ -222,22 +148,15 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     if zeros.size % 2:
         raise DomainError("kernel dimension is odd")
 
+    # One pass over the kernel: Jt^2 = -1 gives <v, Jt v> = 0, and a v
+    # orthogonal to span{v_i, Jt v_i} has Jt v orthogonal to it as well.
     plus_vectors = [eig.vectors[:, i] for i in pos]
-    lam = list(w[pos])
-    kernel = eig.vectors[:, zeros]
-    while kernel.shape[1]:
-        v = kernel[:, 0]
-        v = v / np.linalg.norm(v)
-        vneg = -j.apply(v)
-        plus_vectors.append(v)
-        lam.append(0.0)
-        rest = kernel[:, 1:]
-        if rest.shape[1]:
-            pair = np.column_stack([v, vneg])
-            rest = rest - pair @ (pair.conj().T @ rest)
-            kernel, _ = numkit.gram_schmidt(list(rest.T), tolerance=1e-8)
-        else:
-            kernel = rest
+    pairs = np.empty((t.shape[0], 0), dtype=np.complex128)
+    for v in eig.vectors[:, zeros].T:
+        v = numkit.gram_schmidt_step(v, pairs, 1e-8)
+        if v is not None:
+            plus_vectors.append(v)
+            pairs = np.column_stack([pairs, v, -j.apply(v)])
 
     m = j.half
     if len(plus_vectors) != m:
@@ -245,8 +164,8 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
             f"pairing produced {len(plus_vectors)} nonnegative directions, expected {m}"
         )
     b_plus = np.column_stack(plus_vectors)
-    b_minus = np.column_stack([-j.apply(b_plus[:, i]) for i in range(m)])
-    return np.asarray(lam, dtype=np.float64), np.column_stack([b_plus, b_minus])
+    lam = np.concatenate([w[pos], np.zeros(m - pos.size)])
+    return lam, np.column_stack([b_plus, -j.apply(b_plus)])
 
 
 def solve_type_C(t, j: AntiConjugation) -> SolveReport:
@@ -278,8 +197,13 @@ def solve_type_C(t, j: AntiConjugation) -> SolveReport:
 def split_type_C(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     """Write T in sp as [X*, X] + i [Y*, Y] with X, Y in sp.
 
-    T splits into Hermitian parts T1 = (T + T*)/2 and T2 = (T - T*)/(2i),
-    both automatically in sp; each is solved by :func:`solve_type_C`.
+    Certifies at finite truncation the symplectic counterpart of
+    :func:`commlab.liealg.oberwolfach_split`: since every Hermitian element
+    of the complex symplectic algebra is a self-commutator inside it (the
+    paper's sp version of Fan and Fong), every element of sp is a linear
+    combination of two self-commutators of elements of sp.  T splits into
+    Hermitian parts T1 = (T + T*)/2 and T2 = (T - T*)/(2i), both
+    automatically in sp; each is solved by :func:`solve_type_C`.
     """
     t = numkit.as_square(t)
     if sp_defect(t, j) > 1e-9 * (1.0 + numkit.hs_norm(t)):

@@ -55,16 +55,6 @@ class PowerLog:
             return True
         return self.power < 1.0 or (self.power == 1.0 and self.log_power < 0.0)
 
-    def cesaro_mean_vanishes(self) -> bool:
-        """Whether (1/n) * (d_1 + ... + d_n) -> 0.
-
-        For this regularly-varying family the Cesaro mean vanishes exactly
-        when the terms themselves do.
-        """
-        if self.coeff == 0.0:
-            return True
-        return self.power < 0.0 or (self.power == 0.0 and self.log_power < 0.0)
-
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -79,12 +69,14 @@ class WeightSequence:
     monotone: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.prefix, dtype=np.float64)
-        if arr.size and not np.isfinite(arr).all():
-            raise DomainError("weight prefix contains non-finite values")
-        if self.monotone and arr.size:
-            if (arr < 0).any() or (np.diff(arr) < 0).any():
-                raise DomainError("monotone weights must be nonnegative and non-decreasing")
+        self._checked(np.asarray(self.prefix, dtype=np.float64))
+
+    def _checked(self, arr: np.ndarray) -> np.ndarray:
+        if not np.isfinite(arr).all():
+            raise DomainError("weight sequence contains non-finite values")
+        if self.monotone and ((arr < 0).any() or (np.diff(arr) < 0).any()):
+            raise DomainError("monotone weights must be nonnegative and non-decreasing")
+        return arr
 
     @classmethod
     def powerlog(cls, coeff: float, power: float = 0.0, log_power: float = 0.0,
@@ -98,11 +90,15 @@ class WeightSequence:
         return cls(family=None, prefix=vals, monotone=monotone)
 
     def values(self, count: int) -> np.ndarray:
-        """First ``count`` terms, extending the closed form when available."""
+        """First ``count`` terms, extending the closed form when available.
+
+        An extension gets the prefix's checks: non-finite terms (or, for
+        monotone weights, a decrease) raise DomainError.
+        """
         if count <= len(self.prefix):
             return np.asarray(self.prefix[:count], dtype=np.float64)
         if self.family is None:
             raise DomainError(
                 f"explicit prefix has {len(self.prefix)} terms, {count} required"
             )
-        return self.family.terms(count)
+        return self._checked(self.family.terms(count))

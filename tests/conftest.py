@@ -22,9 +22,14 @@ def random_traceless_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h - (np.trace(h) / d) * np.eye(d)
 
 
+def project_to_sp(x: np.ndarray, j: selfcomm.AntiConjugation) -> np.ndarray:
+    """Average X onto the symplectic algebra: (X - Jt X* Jt^{-1}) / 2."""
+    return (x - j.adjoint_twist(x)) / 2.0
+
+
 def random_sp(rng: np.random.Generator, j: selfcomm.AntiConjugation) -> np.ndarray:
     """Random member of the symplectic algebra (canonical averaging)."""
-    return selfcomm.project_to_sp(random_complex(rng, j.dimension), j)
+    return project_to_sp(random_complex(rng, j.dimension), j)
 
 
 def random_sp_hermitian(rng: np.random.Generator,
@@ -35,6 +40,21 @@ def random_sp_hermitian(rng: np.random.Generator,
     each lands in the intersection.
     """
     t = random_sp(rng, j)
+    return (t + t.conj().T) / 2.0
+
+
+def paired_sp_hermitian(rng: np.random.Generator, j: selfcomm.AntiConjugation,
+                        lam) -> np.ndarray:
+    """U diag(lam, -lam) U* for a random unitary U = exp(iH), H Hermitian in sp.
+
+    U lies in the symplectic group, so the result is a Hermitian member of
+    sp with the prescribed paired spectrum; zeros in ``lam`` give a kernel
+    of twice their number.
+    """
+    w, v = np.linalg.eigh(random_sp_hermitian(rng, j))
+    u = (v * np.exp(1j * w)) @ v.conj().T
+    lam = np.asarray(lam, dtype=np.float64)
+    t = (u * np.concatenate([lam, -lam])) @ u.conj().T
     return (t + t.conj().T) / 2.0
 
 

@@ -114,10 +114,11 @@ def test_criterion_05_type_a_solver():
     for _ in range(500):
         d = int(gen.integers(2, 17))
         t = random_traceless_hermitian(gen, d)
-        sol = selfcomm.solve_type_A(t)
-        assert sol.residual <= 1e-9 * (1.0 + numkit.hs_norm(t))
+        rep = selfcomm.solve_type_A(t)
+        assert rep.checks[0].name == "residual"
+        assert rep.checks[0].measured <= 1e-9 * (1.0 + numkit.hs_norm(t))
     example = selfcomm.solve_type_A(np.diag([1 / 3, 1 / 3, 1 / 3, -1.0]).astype(complex))
-    assert abs(numkit.hs_norm(example.solution) - math.sqrt(2)) <= 1e-12
+    assert abs(numkit.hs_norm(example.matrices["Y"]) - math.sqrt(2)) <= 1e-12
     elapsed = time.perf_counter() - t0
     report(5, "500 random instances solved, shift norm sqrt(2) on the 4x4 case",
            elapsed, 10.0)

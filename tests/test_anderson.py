@@ -205,6 +205,12 @@ class TestVerifyPositiveCommutator:
             anderson.verify_positive_commutator(
                 WeightSequence.explicit([1.0, 2.0, -1.0, 3.0, 4.0]), 4)
 
+    def test_non_finite_extension_rejected(self):
+        # A 3-term prefix of n^400 extended to 9 terms overflows from d_6 on;
+        # NaN blocks would pass every `dev > tolerance` test unseen.
+        with pytest.raises(DomainError, match="non-finite"):
+            anderson.verify_positive_commutator(WeightSequence.powerlog(1, 400, count=3), 8)
+
     def test_large_truncation_under_address_space_cap(self, tmp_path):
         # 2000 blocks: dense dimension about 2e6.  Building the blocks
         # densely would need O(m^3) memory (tens of GB); the runs need

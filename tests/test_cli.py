@@ -424,6 +424,10 @@ class TestRejections:
         ("command = solve-selfcomm\ntype = B\ninput = T.txt\n",
          "unknown solve-selfcomm type 'B'"),
         ("command = staircase\n", "staircase needs input"),
+        ("command = anderson-verify\nseed = 5\n", "unknown key 'seed' for anderson-verify"),
+        ("command = staircase\nseed = 5\n", "unknown key 'seed' for staircase"),
+        ("command = solve-selfcomm\nseed = 5\n", "unknown key 'seed' for solve-selfcomm"),
+        ("command = seq\nseed = 5\n", "unknown key 'seed' for seq"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, body, message):
         config = tmp_path / "job.cfg"
@@ -433,9 +437,10 @@ class TestRejections:
 
     def test_common_keys_valid_everywhere(self, tmp_path):
         for command in cli.COMMANDS:
-            cfg = parse_config(f"command = {command}\nseed = 3\noutput_dir = o\n"
-                               "report = r.csv\n")
-            assert (cfg.seed, cfg.output_dir, cfg.report_path) == (3, "o", "r.csv")
+            cfg = parse_config(f"command = {command}\noutput_dir = o\nreport = r.csv\n")
+            assert (cfg.output_dir, cfg.report_path) == ("o", "r.csv")
+        for command in ("lie", "minimize"):
+            assert parse_config(f"command = {command}\nseed = 3\n").seed == 3
 
     def test_honoured_tolerance_still_reaches_its_check(self, tmp_path, capsys):
         code = main(["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--blocks", "6",
@@ -457,6 +462,10 @@ class TestActionOptions:
         (["seq", "mean", "--family", "powerlog:1,1,2"], "seq mean does not read 'family'"),
         (["seq", "mean", "--input", "v.txt", "--family", "powerlog:1,1,2"],
          "seq mean does not read 'family'"),
+        (["lie", "semisimple", "--n", "3", "--seed", "5"],
+         "lie semisimple does not read 'seed'"),
+        (["lie", "solve-sl", "--input", "T.txt", "--seed", "5"],
+         "lie solve-sl does not read 'seed'"),
     ])
     def test_argv_exits_2(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
@@ -467,6 +476,8 @@ class TestActionOptions:
         ("command = lie\ninput = T.txt\n", "lie killing does not read 'input'"),
         ("command = lie\naction = semisimple\nout = Y.txt\n",
          "lie semisimple does not read 'out'"),
+        ("command = lie\naction = semisimple\nseed = 5\n",
+         "lie semisimple does not read 'seed'"),
         ("command = lie\naction = solve-sl\ninput = T.txt\nn = 4\n",
          "lie solve-sl does not read 'n'"),
         ("command = seq\ninput = v.txt\n", "seq classify does not read 'input'"),
@@ -486,6 +497,25 @@ class TestActionOptions:
                           f"output_dir = {tmp_path}\n")
         assert main(["run", "--config", str(config)]) == cli.EXIT_CONFIG
         assert "unknown lie action 'bogus'" in one_line(capsys, "error:")
+
+    @pytest.mark.parametrize("command, required", [
+        ("anderson-verify", ["--weights", "powerlog:1,-0.5,0"]),
+        ("staircase", ["--input", "A.txt"]),
+        ("solve-selfcomm", ["--type", "A", "--input", "T.txt"]),
+        ("seq", ["classify"]),
+    ])
+    def test_seed_rejected_where_unread(self, tmp_path, capsys, command, required):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--seed", "5", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_env_ignored_where_unread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COMMLAB_SEED", "not-a-number")
+        assert main(["lie", "semisimple", "--n", "3", "--out-dir", str(tmp_path)]) == 0
+        assert main(["seq", "classify", "--family", "powerlog:1,1,2",
+                     "--out-dir", str(tmp_path)]) == 0
 
     def test_restricted_options_name_real_actions(self):
         for cmd in cli.COMMANDS.values():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commlab import idealseq
+from commlab import idealseq, selfcomm
+from commlab.numkit import DomainError
 from commlab.sequences import PowerLog
 
 # Decay-convention grid (p, q) meaning d_n = n^-p * log(n+1)^-q, realized as
@@ -67,22 +68,24 @@ class TestClassify:
 
 
 class TestTypeAPrefix:
+    """A finite signed prefix is a self-commutator spectrum exactly when its
+    positive and negative mass balance; the type (A) solver's trace test on
+    diag(prefix) decides it."""
+
     def test_plain_balanced(self):
-        rep = idealseq.is_type_A_prefix([1.0, -1.0, 0.0, 0.0])
-        assert rep.balanced
-        assert rep.defect == 0.0
+        rep = selfcomm.solve_type_A(np.diag([1.0, -1.0, 0.0, 0.0]))
+        assert rep.passed
+        assert rep.details["partial_sums"][-1] == 0.0
 
     def test_recurring_target_spectrum(self):
-        rep = idealseq.is_type_A_prefix([1 / 3, 1 / 3, 1 / 3, -1.0])
-        assert rep.balanced
-        assert rep.positive_sum == pytest.approx(1.0)
-        assert rep.negative_sum == pytest.approx(1.0)
+        rep = selfcomm.solve_type_A(np.diag([1 / 3, 1 / 3, 1 / 3, -1.0]))
+        assert rep.passed
+        assert rep.details["partial_sums"].max() == pytest.approx(1.0)
+        assert rep.details["partial_sums"][-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_unbalanced(self):
-        rep = idealseq.is_type_A_prefix([1.0, 1.0, -1.0])
-        assert not rep.balanced
-        assert rep.defect == pytest.approx(1.0)
-        assert rep.last_term == -1.0
+        with pytest.raises(DomainError, match="trace-zero"):
+            selfcomm.solve_type_A(np.diag([1.0, 1.0, -1.0]))
 
 
 class TestArithmeticMean:

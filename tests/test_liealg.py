@@ -24,7 +24,6 @@ class TestSlRootData:
         data = liealg.SlRootData(2)
         h1 = data.h(1)
         assert np.array_equal(h1, np.diag([1.0, -1.0, 0.0]).astype(complex))
-        assert np.array_equal(data.simple_root_matrix(1), h1)
 
     def test_bracket_of_opposite_root_vectors(self):
         data = liealg.SlRootData(3)
@@ -167,7 +166,16 @@ class TestSolveSl:
         a = random_traceless_hermitian(rng, 6)
         rep = liealg.solve_sl(a)
         sol = selfcomm.solve_type_A(a)
-        assert (rep.matrices["Y"] == sol.solution).all()
+        assert (rep.matrices["Y"] == sol.matrices["Y"]).all()
+        assert rep.checks[0] == sol.checks[0] and rep.checks[2] == sol.checks[2]
+        assert np.array_equal(rep.details["coefficients"], sol.details["partial_sums"][:-1])
+
+    def test_report_rows(self, rng):
+        rep = liealg.solve_sl(random_traceless_hermitian(rng, 4))
+        assert rep.command == "lie solve-sl"
+        assert [row.name for row in rep.checks] == [
+            "residual", "coefficient_negativity", "solution_hs_norm"]
+        assert list(rep.details) == ["coefficients"]
 
 
 class TestOberwolfachSplit:

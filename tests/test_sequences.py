@@ -21,7 +21,6 @@ class TestPowerLog:
         assert fam.is_summable()
         assert fam.is_log_weighted_summable()
         assert fam.ratio_to_index_vanishes()
-        assert fam.cesaro_mean_vanishes()
 
     def test_growth_conditions(self):
         assert PowerLog(1.0, 0.5).ratio_to_index_vanishes()          # sqrt(n)
@@ -29,12 +28,6 @@ class TestPowerLog:
         assert not PowerLog(1.0, 2.0).ratio_to_index_vanishes()      # n^2
         assert PowerLog(1.0, 1.0, -1.0).ratio_to_index_vanishes()    # n/log
         assert not PowerLog(1.0, 1.0).ratio_to_index_vanishes()      # n
-
-    def test_cesaro_condition(self):
-        assert PowerLog(1.0, -0.5).cesaro_mean_vanishes()
-        assert not PowerLog(1.0, 0.0).cesaro_mean_vanishes()
-        assert PowerLog(1.0, 0.0, -1.0).cesaro_mean_vanishes()
-        assert not PowerLog(1.0, 0.5).cesaro_mean_vanishes()
 
 
 class TestWeightSequence:
@@ -60,3 +53,15 @@ class TestWeightSequence:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             WeightSequence.explicit([1.0, np.inf])
+
+    def test_non_finite_extension_rejected(self):
+        # The prefix d_1..d_3 of n^400 is finite; d_6 and beyond overflow.
+        w = WeightSequence.powerlog(1.0, 400.0, count=3)
+        assert np.isfinite(w.values(3)).all()
+        with pytest.raises(DomainError, match="non-finite"):
+            w.values(9)
+
+    def test_monotone_extension_checked(self):
+        w = WeightSequence.powerlog(1.0, -1.0, count=1, monotone=True)
+        with pytest.raises(DomainError, match="non-decreasing"):
+            w.values(2)
