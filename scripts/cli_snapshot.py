@@ -1,6 +1,7 @@
 """Run every commlab subcommand on fixed inputs and keep all artifacts.
 
-Covers anderson-verify, staircase (plain and self-adjoint), solve-selfcomm
+Covers anderson-verify (with one case large enough to span several of the
+verifier's chunks), staircase (plain and self-adjoint), solve-selfcomm
 (types A and C, and type C on a low-rank input with a 12-dimensional
 kernel), every lie action, minimize and every seq action, each with
 a fixed seed, into one directory per case.  Two checkouts can be compared
@@ -81,6 +82,9 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
                      "--blocks", "9", "--tol", "verify=1e-9"],
         "anderson-explicit": ["anderson-verify", "--weights", f"explicit:{f['weights']}",
                               "--blocks", "6"],
+        # Enough blocks that the verifier works through several chunks.
+        "anderson-multichunk": ["anderson-verify", "--weights", "powerlog:1,0,-1",
+                                "--blocks", "600"],
         "staircase": ["staircase", "--input", f["G"], f["H0"]],
         "staircase-sa": ["staircase", "--input", f["H0"], f["H1"], "--selfadjoint",
                          "--tol", "band=1e-8"],

@@ -120,7 +120,8 @@ def sp_defect(x, j: AntiConjugation) -> float:
 # type (C): spectral pairing and solver
 
 
-def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
+def spectral_pairing(t, j: AntiConjugation, scale: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Paired eigendata for Hermitian T in the symplectic algebra.
 
     Returns ``(lam, basis)``: ``lam`` holds the m nonnegative eigenvalues in
@@ -128,11 +129,13 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     where T b_n = lam_n b_n and b_{-n} = -Jt b_n spans the -lam_n eigenspace.
     Eigenvalues with modulus below 1e-9 * ||T||_F count as zero; each of
     their eigenvectors takes one Gram-Schmidt step against the kernel pairs
-    found so far and, unless rejected, adds the pair (v, -Jt v).
+    found so far and, unless rejected, adds the pair (v, -Jt v).  ``scale``
+    is ||T||_F when the caller has already computed it.
     """
     t = numkit.as_square(t)
     eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
-    scale = numkit.hs_norm(t)
+    if scale is None:
+        scale = numkit.hs_norm(t)
     if sp_defect(t, j) > 1e-9 * (1.0 + scale):
         raise DomainError("not in sp up to tolerance")
     w = eig.values
@@ -175,12 +178,13 @@ def solve_type_C(t, j: AntiConjugation) -> SolveReport:
     back to the original coordinates.  The report records the symplectic
     membership defect of Y and the solve residual.
     """
-    lam, basis = spectral_pairing(t, j)
+    t = numkit.as_square(t)
+    scale = numkit.hs_norm(t)
+    lam, basis = spectral_pairing(t, j, scale)
     m = j.half
     yhat = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     yhat[np.arange(m, 2 * m), np.arange(m)] = np.sqrt(np.clip(lam, 0.0, None))
     y = basis @ yhat @ basis.conj().T
-    scale = numkit.hs_norm(t)
     rep = SolveReport(command="solve-selfcomm type=C")
     rep.check("sp_membership_defect", sp_defect(y, j), 1e-8)
     rep.check(

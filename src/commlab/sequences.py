@@ -60,40 +60,37 @@ class PowerLog:
 class WeightSequence:
     """A weight family plus a materialized finite prefix d_1..d_N.
 
-    ``family`` is None for purely explicit data.  When ``monotone`` is set
-    the prefix must be nonnegative and non-decreasing.
+    ``family`` is None for purely explicit data.
     """
 
     family: PowerLog | None
     prefix: tuple[float, ...]
-    monotone: bool = False
 
     def __post_init__(self):
         self._checked(np.asarray(self.prefix, dtype=np.float64))
 
-    def _checked(self, arr: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _checked(arr: np.ndarray) -> np.ndarray:
         if not np.isfinite(arr).all():
             raise DomainError("weight sequence contains non-finite values")
-        if self.monotone and ((arr < 0).any() or (np.diff(arr) < 0).any()):
-            raise DomainError("monotone weights must be nonnegative and non-decreasing")
         return arr
 
     @classmethod
     def powerlog(cls, coeff: float, power: float = 0.0, log_power: float = 0.0,
-                 count: int = 64, monotone: bool = False) -> "WeightSequence":
+                 count: int = 64) -> "WeightSequence":
         fam = PowerLog(coeff, power, log_power)
-        return cls(family=fam, prefix=tuple(fam.terms(count)), monotone=monotone)
+        return cls(family=fam, prefix=tuple(fam.terms(count)))
 
     @classmethod
-    def explicit(cls, values, monotone: bool = False) -> "WeightSequence":
+    def explicit(cls, values) -> "WeightSequence":
         vals = tuple(float(x) for x in np.asarray(values, dtype=np.float64).reshape(-1))
-        return cls(family=None, prefix=vals, monotone=monotone)
+        return cls(family=None, prefix=vals)
 
     def values(self, count: int) -> np.ndarray:
         """First ``count`` terms, extending the closed form when available.
 
-        An extension gets the prefix's checks: non-finite terms (or, for
-        monotone weights, a decrease) raise DomainError.
+        An extension gets the prefix's check: non-finite terms raise
+        DomainError.
         """
         if count <= len(self.prefix):
             return np.asarray(self.prefix[:count], dtype=np.float64)

@@ -4,10 +4,11 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from anderson_oracle import block_product_figures
+from anderson_oracle import block_product_figures, loop_verify
 
 from commlab import anderson, cli, numkit
 from commlab.numkit import DomainError, VerificationError
@@ -211,6 +212,19 @@ class TestVerifyPositiveCommutator:
         with pytest.raises(DomainError, match="non-finite"):
             anderson.verify_positive_commutator(WeightSequence.powerlog(1, 400, count=3), 8)
 
+    def test_traced_peak_at_2000_blocks(self):
+        # 2000 blocks: dense dimension about 2e6, 4m dense blocks would take
+        # tens of GB.  The chunk arrays are bounded by _CHUNK entries and the
+        # rest is O(m), so the traced peak stays far below 16 MB.
+        weights = WeightSequence.powerlog(1.0, -0.5, count=2001)
+        tracemalloc.start()
+        try:
+            anderson.verify_positive_commutator(weights, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_large_truncation_under_address_space_cap(self, tmp_path):
         # 2000 blocks: dense dimension about 2e6.  Building the blocks
         # densely would need O(m^3) memory (tens of GB); the runs need
@@ -234,15 +248,19 @@ class TestVerifyPositiveCommutator:
         assert len((tmp_path / "blocks.csv").read_text().splitlines()) == 2002
 
 
-ORACLE_WEIGHTS = {
-    "sqrt": WeightSequence.powerlog(1.0, 0.5, count=61),
-    "log": WeightSequence.powerlog(1.0, 0.0, 1.0, count=61),
-    "cbrt": WeightSequence.powerlog(1.0, 1 / 3, count=61),
-    "constant": WeightSequence.powerlog(1.0, 0.0, 0.0, count=61),
-    "zero": WeightSequence.explicit([0.0] * 61),
-    "non_monotone": WeightSequence.explicit(
-        np.arange(1.0, 62.0) ** 0.5 * (1.5 + np.sin(np.arange(1.0, 62.0)))),
-}
+def oracle_weights(count: int) -> dict[str, WeightSequence]:
+    n = np.arange(1.0, count + 1.0)
+    return {
+        "sqrt": WeightSequence.powerlog(1.0, 0.5, count=count),
+        "log": WeightSequence.powerlog(1.0, 0.0, 1.0, count=count),
+        "cbrt": WeightSequence.powerlog(1.0, 1 / 3, count=count),
+        "constant": WeightSequence.powerlog(1.0, 0.0, 0.0, count=count),
+        "zero": WeightSequence.explicit(np.zeros(count)),
+        "non_monotone": WeightSequence.explicit(n ** 0.5 * (1.5 + np.sin(n))),
+    }
+
+
+ORACLE_WEIGHTS = oracle_weights(61)
 
 # The weight strings of the benchmark's anderson-verify jobs.
 BENCHMARK_WEIGHTS = ("powerlog:1,-0.5,0", "powerlog:1,0,-1",
@@ -311,11 +329,12 @@ class TestDenseOracle:
         assert anderson.verify_positive_commutator(SQRT_N, 12).passed
 
 
-def oracle_cases():
-    for name in sorted(ORACLE_WEIGHTS):
-        yield pytest.param(ORACLE_WEIGHTS[name], id=name)
+def oracle_cases(count: int = 61):
+    weights = oracle_weights(count)
+    for name in sorted(weights):
+        yield pytest.param(weights[name], id=name)
     for text in BENCHMARK_WEIGHTS:
-        yield pytest.param(cli.parse_weights(text, count=61), id=text)
+        yield pytest.param(cli.parse_weights(text, count=count), id=text)
 
 
 class TestBlockProductOracle:
@@ -344,6 +363,67 @@ class TestBlockProductOracle:
             with pytest.raises(VerificationError) as err:
                 anderson.verify_positive_commutator(weights, block_count, 1e-17)
             assert str(err.value).startswith(f"diagonal block(s) {want['failures']} ")
+
+
+def verifier_figures(verify, weights, block_count: int, tolerance: float):
+    """Everything a verifier reports, as bytes: the error it raises, or its
+    check rows and ``details``.  Bytes keep signed zeros apart."""
+    try:
+        rep = verify(weights, block_count, tolerance)
+    except (DomainError, VerificationError) as err:
+        return type(err).__name__, str(err)
+    rows = [(row.name, np.float64(row.measured).tobytes(), row.tolerance, row.passed)
+            for row in rep.checks]
+    details = {key: (np.asarray(value).dtype.str, np.asarray(value).tobytes())
+               for key, value in rep.details.items()}
+    return rows, details
+
+
+class TestLoopOracle:
+    """The chunked verifier against the per-block loop it replaced."""
+
+    @pytest.mark.parametrize("weights", oracle_cases(count=121))
+    def test_bit_identical(self, weights, monkeypatch):
+        # A budget of 1 entry ends a chunk after every block row; 7 and 64
+        # give chunks of several rows, then single rows as blocks widen, so
+        # the last chunk takes a different shape at each block count.  Each
+        # block count runs under one budget and one tolerance, in turn.
+        cases = [(1, numkit.DEFAULT_TOL), (7, numkit.DEFAULT_TOL), (64, numkit.DEFAULT_TOL),
+                 (1, 1e-17), (7, 1e-17), (64, 1e-17)]
+        for bc in range(3, 121):
+            budget, tol = cases[bc % len(cases)]
+            monkeypatch.setattr(anderson, "_CHUNK", budget)
+            want = verifier_figures(loop_verify, weights, bc, tol)
+            got = verifier_figures(anderson.verify_positive_commutator, weights, bc, tol)
+            assert got == want, (budget, tol, bc)
+
+    @pytest.mark.parametrize("block_count", [300, 480])
+    def test_bit_identical_at_default_budget(self, block_count):
+        assert anderson._chunk_rows(1) < block_count  # several chunks
+        weights = WeightSequence.powerlog(1.0, 0.5, count=block_count + 1)
+        for tol in (numkit.DEFAULT_TOL, 1e-17):
+            assert (verifier_figures(anderson.verify_positive_commutator, weights,
+                                     block_count, tol)
+                    == verifier_figures(loop_verify, weights, block_count, tol))
+
+    def test_failing_blocks_listed(self):
+        # At 1e-17 rounding alone fails some interior blocks, so the lists
+        # compared above are not all empty.
+        weights = ORACLE_WEIGHTS["sqrt"]
+        with pytest.raises(VerificationError, match=r"diagonal block\(s\) \[\d"):
+            loop_verify(weights, 40, 1e-17)
+
+    @pytest.mark.parametrize("weights, block_count", [
+        (WeightSequence.explicit([1.0, 2.0, -1.0, 3.0, 4.0]), 4),
+        (WeightSequence.powerlog(1, 400, count=3), 8),
+        (WeightSequence.explicit([1.0, 2.0, 3.0]), 4),
+        (SQRT_N, 2),
+    ], ids=["negative", "non_finite", "short_prefix", "too_few_blocks"])
+    def test_same_rejections(self, weights, block_count):
+        want = verifier_figures(loop_verify, weights, block_count, numkit.DEFAULT_TOL)
+        assert want[0] == "DomainError"
+        assert verifier_figures(anderson.verify_positive_commutator, weights, block_count,
+                                numkit.DEFAULT_TOL) == want
 
 
 class TestAdmissible:

@@ -43,13 +43,6 @@ class TestWeightSequence:
         with pytest.raises(DomainError):
             w.values(3)
 
-    def test_monotone_flag(self):
-        WeightSequence.explicit([0.0, 1.0, 1.0, 2.0], monotone=True)
-        with pytest.raises(DomainError):
-            WeightSequence.explicit([1.0, 0.5], monotone=True)
-        with pytest.raises(DomainError):
-            WeightSequence.explicit([-1.0, 0.5], monotone=True)
-
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             WeightSequence.explicit([1.0, np.inf])
@@ -60,8 +53,3 @@ class TestWeightSequence:
         assert np.isfinite(w.values(3)).all()
         with pytest.raises(DomainError, match="non-finite"):
             w.values(9)
-
-    def test_monotone_extension_checked(self):
-        w = WeightSequence.powerlog(1.0, -1.0, count=1, monotone=True)
-        with pytest.raises(DomainError, match="non-decreasing"):
-            w.values(2)
