@@ -3,9 +3,9 @@
 Covers anderson-verify (with one case large enough to span several of the
 verifier's chunks), staircase (plain and self-adjoint), solve-selfcomm
 (types A and C, and type C on a low-rank input with a 12-dimensional
-kernel), every lie action, minimize and every seq action, each with
-a fixed seed, into one directory per case.  Two checkouts can be compared
-file by file:
+kernel), every lie action, minimize (to convergence and out of budget
+mid-stage) and every seq action, each with a fixed seed, into one
+directory per case.  Two checkouts can be compared file by file:
 
     PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_a
     (in the other checkout) PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_b
@@ -98,6 +98,9 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
         "lie-solve-sl": ["lie", "solve-sl", "--input", f["T"]],
         "minimize": ["minimize", "--target", f["target"], "--restarts", "6",
                      "--max-iters", "4000", "--seed", "3"],
+        # Restarts that run out of budget mid-stage.
+        "minimize-budget": ["minimize", "--target", f["target"], "--restarts", "5",
+                            "--max-iters", "30"],
         "seq-classify": ["seq", "classify", "--family", "powerlog:1,1,2"],
         "seq-mean": ["seq", "mean", "--input", f["values"],
                      "--out", os.path.join(out, "seq-mean", "means.txt")],

@@ -8,7 +8,10 @@ use sites here) by multi-restart gradient descent on the penalty objective
 with an increasing penalty schedule.  All restarts run as one descent over
 stacked (R, d, d) arrays; each restart keeps its own penalty weight, step
 and line-search state, and every per-restart quantity is a reduction over
-the last two axes, so restart r's result depends only on (seed, r).  After
+the last two axes, so restart r's result depends only on (seed, r).  Each
+restart carries its residual and squared norms from the trial it accepted,
+and the stacked arrays hold only unfinished restarts; the tests hold this
+descent bit for bit to one that recomputes everything every step.  After
 the descent each pair is rescaled so ||A||_F = ||B||_F, which leaves the
 commutator unchanged; the reported objective is then ||A||_F.  The
 universal certificate ||A||_F >= sqrt(||target||_tr / 2) bounds every
@@ -81,6 +84,22 @@ def _inner(x, y) -> np.ndarray:
     return np.add.reduce(x.view(np.float64) * y.view(np.float64), axis=(-2, -1))
 
 
+def _residual(a, b, target):
+    """R = AB - BA - target and ||A||_F^2, ||B||_F^2, ||R||_F^2, stacked or not."""
+    r = a @ b - b @ a - target
+    return r, _inner(a, a), _inner(b, b), _inner(r, r)
+
+
+def _gradient(a, b, r, mu):
+    """Penalty gradients (gA, gB) at a point with residual R and weights mu."""
+    bh = b.conj().swapaxes(-1, -2)
+    ah = a.conj().swapaxes(-1, -2)
+    weight = 2.0 * mu[..., None, None]
+    ga = 2.0 * a + weight * (r @ bh - bh @ r)
+    gb = 2.0 * b + weight * (ah @ r - r @ ah)
+    return ga, gb
+
+
 def penalty_gradient(a, b, target, mu
                      ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Value and gradients of the penalty objective.
@@ -106,13 +125,9 @@ def penalty_gradient(a, b, target, mu
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("A and B must be finite")
     mu = np.asarray(mu, dtype=np.float64)
-    r = a @ b - b @ a - target
-    value = _inner(a, a) + _inner(b, b) + mu * _inner(r, r)
-    bh = b.conj().swapaxes(-1, -2)
-    ah = a.conj().swapaxes(-1, -2)
-    weight = mu[..., None, None]
-    ga = 2.0 * a + 2.0 * weight * (r @ bh - bh @ r)
-    gb = 2.0 * b + 2.0 * weight * (ah @ r - r @ ah)
+    r, aa, bb, rr = _residual(a, b, target)
+    value = aa + bb + mu * rr
+    ga, gb = _gradient(a, b, r, mu)
     return ga, gb, float(value) if a.ndim == 2 else value
 
 
@@ -171,12 +186,6 @@ class MinimizeResult:
     restarts: list[RestartTrace]
 
 
-def _value(a, b, target, mu) -> np.ndarray:
-    """Penalty values of a stack of pairs, as ``penalty_gradient`` computes them."""
-    r = a @ b - b @ a - target
-    return _inner(a, a) + _inner(b, b) + mu * _inner(r, r)
-
-
 def _initial_pair(target, seed: int, restart: int, lb: float):
     """Restart ``restart``'s random start, scaled to the certificate ``lb``."""
     dim = target.shape[0]
@@ -201,101 +210,112 @@ def _descend(a, b, target, max_iters: int):
     the last accepted move and the Armijo reference is the largest of the
     last ``ARMIJO_MEMORY`` values (Grippo-Lampariello-Lucidi non-monotone
     search), which copes with the stiff curvature the penalty term develops
-    as mu grows.  Finished restarts drop out of the active index set, and
-    each backtracking round evaluates only the restarts still searching.
+    as mu grows.
+
+    Restarts carry R and its squared norms from the trial they accepted, and
+    the state arrays hold only unfinished restarts, each copied out once when
+    it stops.  The first Armijo trial covers every row (those whose stage
+    ends are masked); each halving gathers the rows still rejected.
     """
-    a, b = a.copy(), b.copy()
     count = a.shape[0]
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    out_iters, out_reasons = np.empty((2, count), dtype=np.int64)
+    index = np.arange(count)
+    r, aa, bb, rr = _residual(a, b, target)
     mu = np.full(count, MU_START)
     step = np.full(count, 1e-2)
     iters = np.zeros(count, dtype=np.int64)
-    reasons = np.zeros(count, dtype=np.int64)
-    done = np.zeros(count, dtype=bool)
-    # Stage state, reset when a restart moves to the next mu: the previous
-    # accepted point and gradient (for the BB quotient), the Armijo memory
-    # and the stagnation counter.
+    # Stage state.  has_prev is the last step's acceptance, so it is False
+    # on a stage's first step (a stage ends on a step its restart did not
+    # move, or stops it); prev_* are rebound, never written in place.  Each
+    # step writes one row of fhist, so column i holds restart i's last
+    # ARMIJO_MEMORY values in its stage, -inf where the stage has fewer.
     has_prev = np.zeros(count, dtype=bool)
-    prev_a, prev_b = np.zeros_like(a), np.zeros_like(b)
-    prev_ga, prev_gb = np.zeros_like(a), np.zeros_like(b)
-    fhist = np.full((count, ARMIJO_MEMORY), -np.inf)
-    nhist = np.zeros(count, dtype=np.int64)
+    prev_a = prev_b = prev_ga = prev_gb = np.zeros_like(a)
+    fhist, slot = np.full((ARMIJO_MEMORY, count), -np.inf), 0
     fbest = np.full(count, np.inf)
     since = np.zeros(count, dtype=np.int64)
 
-    active = np.arange(count)
-    while active.size:
-        ga, gb, f = penalty_gradient(a[active], b[active], target, mu[active])
+    while index.size:
+        f = aa + bb + mu * rr
+        ga, gb = _gradient(a, b, r, mu)
         gsq = _inner(ga, ga) + _inner(gb, gb)
         flat = np.sqrt(gsq) <= CONVERGENCE_GTOL
-        improved = f < fbest[active]
-        fbest[active] = np.where(improved, f, fbest[active])
-        since[active] = np.where(improved, 0, since[active] + 1)
-        stalled = ~flat & (since[active] >= STAGNATION_ITERS)
-        ended = [(active[flat], _GTOL), (active[stalled], _STAGNATION)]
+        improved = f < fbest
+        fbest = np.where(improved, f, fbest)
+        since = np.where(improved, 0, since + 1)
+        stalled = ~flat & (since >= STAGNATION_ITERS)
         moving = ~(flat | stalled)
-        run = active[moving]
-        ra, rb = a[run], b[run]
-        ga, gb, f, gsq = ga[moving], gb[moving], f[moving], gsq[moving]
-        iters[run] += 1
+        iters += moving
 
-        bb = np.flatnonzero(has_prev[run])
-        if bb.size:
-            rows = run[bb]
-            da, db = ra[bb] - prev_a[rows], rb[bb] - prev_b[rows]
-            ss = _inner(da, da) + _inner(db, db)
-            sy = _inner(da, ga[bb] - prev_ga[rows]) + _inner(db, gb[bb] - prev_gb[rows])
-            ok = (sy > 0.0) & np.isfinite(sy)
-            step[rows[ok]] = np.clip(ss[ok] / sy[ok], 1e-14, 1e6)
-        fhist[run, nhist[run] % ARMIJO_MEMORY] = f
-        nhist[run] += 1
-        fref = fhist[run].max(axis=1)
+        da, db = a - prev_a, b - prev_b
+        ss = _inner(da, da) + _inner(db, db)
+        sy = _inner(da, ga - prev_ga) + _inner(db, gb - prev_gb)
+        quotient = has_prev & moving & (sy > 0.0) & np.isfinite(sy)
+        clipped = np.minimum(np.maximum(ss / np.where(quotient, sy, 1.0), 1e-14), 1e6)
+        step = np.where(quotient, clipped, step)
+        fhist[slot] = f
+        slot = (slot + 1) % ARMIJO_MEMORY
+        fref = fhist.max(axis=0)
 
-        t = step[run]
-        muv = mu[run]
-        accepted = np.zeros(run.size, dtype=bool)
-        trial = np.arange(run.size)
-        for _ in range(MAX_HALVINGS):
-            tt = t[trial, None, None]
-            fa = _value(ra[trial] - tt * ga[trial], rb[trial] - tt * gb[trial],
-                        target, muv[trial])
-            ok = fa <= fref[trial] - 1e-4 * t[trial] * gsq[trial]
-            accepted[trial[ok]] = True
-            trial = trial[~ok]
-            if not trial.size:
-                break
-            t[trial] *= 0.5
-        ended.append((run[~accepted], _LINESEARCH))
+        tt = step[:, None, None]
+        xa, xb = a - tt * ga, b - tt * gb
+        xr, xaa, xbb, xrr = _residual(xa, xb, target)
+        accepted = moving & (xaa + xbb + mu * xrr <= fref - 1e-4 * step * gsq)
+        t = step
+        trial = np.flatnonzero(moving > accepted)
+        if trial.size:
+            t = step.copy()
+            rows = [x[trial] for x in (a, b, ga, gb, mu, fref, gsq, step)]
+            for _ in range(MAX_HALVINGS - 1):
+                ra, rb, rga, rgb, rmu, rref, rgsq, rt = rows
+                rt *= 0.5
+                tt = rt[:, None, None]
+                ya, yb = ra - tt * rga, rb - tt * rgb
+                yr, yaa, ybb, yrr = _residual(ya, yb, target)
+                ok = yaa + ybb + rmu * yrr <= rref - 1e-4 * rt * rgsq
+                if ok.any():
+                    hit = trial[ok]
+                    accepted[hit], t[hit] = True, rt[ok]
+                    xa[hit], xb[hit], xr[hit] = ya[ok], yb[ok], yr[ok]
+                    xaa[hit], xbb[hit], xrr[hit] = yaa[ok], ybb[ok], yrr[ok]
+                    if ok.all():
+                        break
+                    trial, rows = trial[~ok], [x[~ok] for x in rows]
 
-        moved = run[accepted]
-        ra, rb, ga, gb = ra[accepted], rb[accepted], ga[accepted], gb[accepted]
-        prev_a[moved], prev_b[moved] = ra, rb
-        prev_ga[moved], prev_gb[moved] = ga, gb
-        has_prev[moved] = True
-        t = t[accepted]
-        a[moved] = ra - t[:, None, None] * ga
-        b[moved] = rb - t[:, None, None] * gb
-        step[moved] = t
-        ended.append((moved[iters[moved] >= max_iters], _BUDGET))
+        ended = ~accepted | (iters >= max_iters)
+        ending = ended.any()
+        if ending:
+            # A restart that did not move keeps its point.
+            for new, old in ((xa, a), (xb, b), (xr, r)):
+                np.copyto(new, old, where=~accepted[:, None, None])
+            for new, old in ((xaa, aa), (xbb, bb), (xrr, rr)):
+                np.copyto(new, old, where=~accepted)
+        prev_a, prev_b, prev_ga, prev_gb = a, b, ga, gb
+        a, b, r, aa, bb, rr, step, has_prev = xa, xb, xr, xaa, xbb, xrr, t, accepted
+        if not ending:
+            continue
 
-        rows = np.concatenate([r for r, _ in ended])
-        if rows.size:
-            why = np.concatenate([np.full(r.size, code) for r, code in ended])
-            reasons[rows] = why
-            ea, eb = a[rows], b[rows]
-            res = ea @ eb - eb @ ea - target
-            solved = (why == _GTOL) & (np.sqrt(_inner(res, res)) <= CONVERGENCE_FEAS)
-            stop = solved | (mu[rows] >= MU_MAX) | (iters[rows] >= max_iters)
-            done[rows[stop]] = True
-            nxt = rows[~stop]
-            mu[nxt] *= 10.0
-            step[nxt] = np.minimum(step[nxt], 0.1 / mu[nxt])
-            has_prev[nxt] = False
-            fhist[nxt] = -np.inf
-            nhist[nxt] = 0
-            fbest[nxt] = np.inf
-            since[nxt] = 0
-        active = np.flatnonzero(~done)
-    return a, b, iters, reasons
+        solved = flat & (np.sqrt(rr) <= CONVERGENCE_FEAS)
+        stop = ended & (solved | (mu >= MU_MAX) | (iters >= max_iters))
+        nxt = ended & ~stop
+        mu[nxt] *= 10.0
+        step[nxt] = np.minimum(step[nxt], 0.1 / mu[nxt])
+        fhist[:, nxt] = -np.inf
+        fbest[nxt] = np.inf  # so the next step improves and zeroes ``since``
+        if stop.any():
+            done = index[stop]
+            why = np.where(flat, _GTOL, np.where(stalled, _STAGNATION,
+                                                 np.where(accepted, _BUDGET, _LINESEARCH)))
+            out_a[done], out_b[done] = a[stop], b[stop]
+            out_iters[done], out_reasons[done] = iters[stop], why[stop]
+            keep = ~stop
+            fhist = fhist[:, keep]
+            (index, a, b, r, aa, bb, rr, mu, step, iters, has_prev,
+             prev_a, prev_b, prev_ga, prev_gb, fbest, since) = (
+                x[keep] for x in (index, a, b, r, aa, bb, rr, mu, step, iters, has_prev,
+                                  prev_a, prev_b, prev_ga, prev_gb, fbest, since))
+    return out_a, out_b, out_iters, out_reasons
 
 
 def _balanced_trace(restart, a, b, target, iterations, reason):

@@ -93,9 +93,16 @@ def hermitian_defect(a) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(a, rtol: float = HERMITIAN_RTOL,
+                      scale: float | None = None) -> np.ndarray:
+    """A as a square matrix, or DomainError when ||A - A*||_F > rtol (1 + ||A||_F).
+
+    ``scale`` is ||A||_F when the caller has already computed it.
+    """
     a = as_square(a)
-    if hermitian_defect(a) > rtol * (1.0 + hs_norm(a)):
+    if scale is None:
+        scale = hs_norm(a)
+    if hermitian_defect(a) > rtol * (1.0 + scale):
         raise DomainError("matrix is not Hermitian within tolerance")
     return a
 
@@ -116,14 +123,15 @@ def descending_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(values), kind="stable")
 
 
-def hermitian_eigen(a) -> EigenDecomposition:
+def hermitian_eigen(a, scale: float | None = None) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Ties keep the order the underlying routine produced (stable sort, then
     index-ascending).  Raises DomainError for non-Hermitian input and
-    NumericError when the eigensolver does not converge.
+    NumericError when the eigensolver does not converge.  ``scale`` is
+    ||A||_F when the caller has already computed it.
     """
-    a = require_hermitian(a)
+    a = require_hermitian(a, scale=scale)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

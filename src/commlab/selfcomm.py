@@ -32,11 +32,12 @@ def solve_type_A(t) -> SolveReport:
     weighted shift with sqrt(a_j) in position (j+1, j), a_j = c_1 + ... + c_j;
     these are nonnegative because the sorted prefix sums of a zero-sum list
     are.  The report rows are the residual ||[Y*, Y] - T||_F, the worst
-    negative partial sum and ||Y||_F; ``details["partial_sums"]`` holds a_j.
+    negative partial sum (within the trace test's slack) and ||Y||_F;
+    ``details["partial_sums"]`` holds a_j.
     """
     t = numkit.as_square(t)
-    eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
     scale = numkit.hs_norm(t)
+    eig = numkit.hermitian_eigen(t, scale)  # rejects non-Hermitian input first
     if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + scale):
         raise DomainError("trace-zero required")
     sums = np.cumsum(eig.values)
@@ -47,8 +48,10 @@ def solve_type_A(t) -> SolveReport:
     rep = SolveReport(command="solve-selfcomm type=A")
     rep.check("residual", numkit.hs_norm(numkit.self_commutator(y) - t),
               1e-9 * (1.0 + scale))
+    # Sorted prefix sums are bounded below by min(0, tr T), so they may dip
+    # as far below zero as the trace test lets the trace.
     worst = float(-sums.min()) if sums.size else 0.0
-    rep.check("partial_sum_negativity", max(worst, 0.0), 1e-12)
+    rep.check("partial_sum_negativity", max(worst, 0.0), TRACE_RTOL * (1.0 + scale))
     rep.info("solution_hs_norm", numkit.hs_norm(y))
     rep.matrices["Y"] = y
     rep.details["partial_sums"] = sums

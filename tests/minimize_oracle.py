@@ -1,10 +1,13 @@
-"""Scalar reference for the stacked restart descent in ``commlab.minimize``.
+"""References for the stacked restart descent in ``commlab.minimize``.
 
-One restart at a time, in plain Python loops over 2-d numpy calls: the
-penalty-descent stages, Barzilai-Borwein steps and non-monotone Armijo
-backtracking that ``minimize._descend`` runs over a stack of restarts.  The
-stacked descent reduces norms in another order, so the two agree to a
-tolerance, not bit for bit.
+``run_restart`` takes one restart at a time, in plain Python loops over 2-d
+numpy calls: the penalty-descent stages, Barzilai-Borwein steps and
+non-monotone Armijo backtracking that ``minimize._descend`` runs over a
+stack of restarts.  The stacked descent reduces norms in another order, so
+the two agree to a tolerance, not bit for bit.
+
+``stacked_descend`` is the stacked descent in its plain form, which
+``minimize._descend`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,18 @@ import math
 import numpy as np
 
 from commlab import minimize
+from commlab.minimize import (
+    ARMIJO_MEMORY,
+    CONVERGENCE_FEAS,
+    CONVERGENCE_GTOL,
+    MAX_HALVINGS,
+    MU_MAX,
+    MU_START,
+    STAGNATION_ITERS,
+    STOP_REASONS,
+)
+
+_GTOL, _STAGNATION, _LINESEARCH, _BUDGET = range(len(STOP_REASONS))
 
 
 def _value(a, b, target, mu):
@@ -113,3 +128,119 @@ def run_restart(target, seed: int, restart: int, max_iters: int):
                    and reason in ("gtol", "stagnation")),
     )
     return trace, a, b
+
+
+def _inner(x, y) -> np.ndarray:
+    """Re <x, y> over the last two axes, summed in the order ``minimize`` sums it."""
+    return np.add.reduce(x.view(np.float64) * y.view(np.float64), axis=(-2, -1))
+
+
+def _stacked_value(a, b, target, mu) -> np.ndarray:
+    """Penalty values of a stack of pairs, as ``minimize.penalty_gradient`` computes them."""
+    r = a @ b - b @ a - target
+    return _inner(a, a) + _inner(b, b) + mu * _inner(r, r)
+
+
+def stacked_descend(a, b, target, max_iters: int):
+    """Penalty descent of a stack of restarts; returns (a, b, iters, reasons).
+
+    The stacked descent with nothing carried between steps: each step
+    gathers the active restarts, recomputes their residuals and norms
+    through ``minimize.penalty_gradient``, and each backtracking round and
+    the stage-end feasibility test evaluate fresh products.  Finished restarts
+    drop out of the active index set, and each backtracking round evaluates
+    only the restarts still searching.  ``minimize._descend`` must agree
+    with it bit for bit.
+    """
+    a, b = a.copy(), b.copy()
+    count = a.shape[0]
+    mu = np.full(count, MU_START)
+    step = np.full(count, 1e-2)
+    iters = np.zeros(count, dtype=np.int64)
+    reasons = np.zeros(count, dtype=np.int64)
+    done = np.zeros(count, dtype=bool)
+    # Stage state, reset when a restart moves to the next mu: the previous
+    # accepted point and gradient (for the BB quotient), the Armijo memory
+    # and the stagnation counter.
+    has_prev = np.zeros(count, dtype=bool)
+    prev_a, prev_b = np.zeros_like(a), np.zeros_like(b)
+    prev_ga, prev_gb = np.zeros_like(a), np.zeros_like(b)
+    fhist = np.full((count, ARMIJO_MEMORY), -np.inf)
+    nhist = np.zeros(count, dtype=np.int64)
+    fbest = np.full(count, np.inf)
+    since = np.zeros(count, dtype=np.int64)
+
+    active = np.arange(count)
+    while active.size:
+        ga, gb, f = minimize.penalty_gradient(a[active], b[active], target, mu[active])
+        gsq = _inner(ga, ga) + _inner(gb, gb)
+        flat = np.sqrt(gsq) <= CONVERGENCE_GTOL
+        improved = f < fbest[active]
+        fbest[active] = np.where(improved, f, fbest[active])
+        since[active] = np.where(improved, 0, since[active] + 1)
+        stalled = ~flat & (since[active] >= STAGNATION_ITERS)
+        ended = [(active[flat], _GTOL), (active[stalled], _STAGNATION)]
+        moving = ~(flat | stalled)
+        run = active[moving]
+        ra, rb = a[run], b[run]
+        ga, gb, f, gsq = ga[moving], gb[moving], f[moving], gsq[moving]
+        iters[run] += 1
+
+        bb = np.flatnonzero(has_prev[run])
+        if bb.size:
+            rows = run[bb]
+            da, db = ra[bb] - prev_a[rows], rb[bb] - prev_b[rows]
+            ss = _inner(da, da) + _inner(db, db)
+            sy = _inner(da, ga[bb] - prev_ga[rows]) + _inner(db, gb[bb] - prev_gb[rows])
+            ok = (sy > 0.0) & np.isfinite(sy)
+            step[rows[ok]] = np.clip(ss[ok] / sy[ok], 1e-14, 1e6)
+        fhist[run, nhist[run] % ARMIJO_MEMORY] = f
+        nhist[run] += 1
+        fref = fhist[run].max(axis=1)
+
+        t = step[run]
+        muv = mu[run]
+        accepted = np.zeros(run.size, dtype=bool)
+        trial = np.arange(run.size)
+        for _ in range(MAX_HALVINGS):
+            tt = t[trial, None, None]
+            fa = _stacked_value(ra[trial] - tt * ga[trial], rb[trial] - tt * gb[trial],
+                                target, muv[trial])
+            ok = fa <= fref[trial] - 1e-4 * t[trial] * gsq[trial]
+            accepted[trial[ok]] = True
+            trial = trial[~ok]
+            if not trial.size:
+                break
+            t[trial] *= 0.5
+        ended.append((run[~accepted], _LINESEARCH))
+
+        moved = run[accepted]
+        ra, rb, ga, gb = ra[accepted], rb[accepted], ga[accepted], gb[accepted]
+        prev_a[moved], prev_b[moved] = ra, rb
+        prev_ga[moved], prev_gb[moved] = ga, gb
+        has_prev[moved] = True
+        t = t[accepted]
+        a[moved] = ra - t[:, None, None] * ga
+        b[moved] = rb - t[:, None, None] * gb
+        step[moved] = t
+        ended.append((moved[iters[moved] >= max_iters], _BUDGET))
+
+        rows = np.concatenate([r for r, _ in ended])
+        if rows.size:
+            why = np.concatenate([np.full(r.size, code) for r, code in ended])
+            reasons[rows] = why
+            ea, eb = a[rows], b[rows]
+            res = ea @ eb - eb @ ea - target
+            solved = (why == _GTOL) & (np.sqrt(_inner(res, res)) <= CONVERGENCE_FEAS)
+            stop = solved | (mu[rows] >= MU_MAX) | (iters[rows] >= max_iters)
+            done[rows[stop]] = True
+            nxt = rows[~stop]
+            mu[nxt] *= 10.0
+            step[nxt] = np.minimum(step[nxt], 0.1 / mu[nxt])
+            has_prev[nxt] = False
+            fhist[nxt] = -np.inf
+            nhist[nxt] = 0
+            fbest[nxt] = np.inf
+            since[nxt] = 0
+        active = np.flatnonzero(~done)
+    return a, b, iters, reasons

@@ -79,6 +79,21 @@ class TestSolveSelfcommCommand:
         y = matio.load_matrix(tmp_path / "Y.txt")
         assert y.shape == (4, 4)
 
+    def test_type_a_large_scale_passes(self, tmp_path):
+        # Centered normal entries times 10^3: the last partial sum, the
+        # rounding of the trace, is a few 1e-12 below zero, inside the trace
+        # test's slack; an absolute 1e-12 tolerance failed it with exit 3.
+        x = np.random.default_rng(0).standard_normal(30)
+        inp = tmp_path / "T.txt"
+        matio.save_matrix(inp, np.diag((x - x.mean()) * 1e3))
+        code = main([
+            "solve-selfcomm", "--type", "A", "--input", str(inp),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        rows = read_report(tmp_path / "report.csv")
+        assert rows["partial_sum_negativity"]["pass"] == "1"
+
     def test_type_c(self, tmp_path, rng):
         inp = tmp_path / "T.txt"
         matio.save_matrix(inp, np.diag([1.0, 0.5, -1.0, -0.5]).astype(complex))

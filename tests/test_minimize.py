@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +256,63 @@ class TestScalarOracle:
             assert trace.iterations == want.iterations == 2
             assert trace.stop_reason == want.stop_reason == "budget"
             assert abs(trace.objective - want.objective) <= 1e-12
+
+
+def _random_traceless(d: int) -> np.ndarray:
+    g = random_complex(np.random.default_rng(5), d)
+    return g - (np.trace(g) / d) * np.eye(d)
+
+
+STACKED_TARGETS = {
+    "2x2": np.diag([1.0, -1.0]),
+    "3x3": np.diag([-1.0, 0.5, 0.5]),
+    "4x4": minimize.OPTIMAL_TARGET,
+    "5x5": _random_traceless(5),
+    "zero": np.zeros((3, 3)),
+}
+# Every target at 1, 7 and 50 restarts and budgets of 2, 40 and 20000
+# steps, except that the random 5x5 target spends any budget it gets (10-50 s
+# per case at 20000 steps on a 2-vCPU machine), so it stops at 40.
+STACKED_CASES = [
+    (name, restarts, max_iters)
+    for name in STACKED_TARGETS
+    for restarts in (1, 7, 50)
+    for max_iters in (2, 40, 20000)
+    if not (name == "5x5" and max_iters == 20000)
+]
+
+
+@functools.cache
+def stacked_outcomes(name: str, restarts: int, max_iters: int):
+    """(``_descend``'s, the stacked oracle's) (a, b, iters, reasons).
+
+    Both run with warnings raised as errors, so a masked quotient or a
+    masked trial cannot hide a division by zero or an overflow.
+    """
+    target = numkit.as_square(STACKED_TARGETS[name])
+    lb = minimize.lower_bound_certificate(target)
+    starts = [minimize._initial_pair(target, 2026, r, lb) for r in range(restarts)]
+    a, b = np.stack([s[0] for s in starts]), np.stack([s[1] for s in starts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (minimize._descend(a, b, target, max_iters),
+                minimize_oracle.stacked_descend(a, b, target, max_iters))
+
+
+class TestStackedOracle:
+    """The descent against the stacked descent that carries nothing between steps."""
+
+    @pytest.mark.parametrize("name,restarts,max_iters", STACKED_CASES)
+    def test_bit_identical(self, name, restarts, max_iters):
+        got, want = stacked_outcomes(name, restarts, max_iters)
+        for label, x, y in zip(("a", "b", "iters", "reasons"), got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape, label
+            assert x.tobytes() == y.tobytes(), label
+
+    def test_cases_reach_every_exit(self):
+        reasons = {minimize.STOP_REASONS[code]
+                   for case in STACKED_CASES for code in stacked_outcomes(*case)[1][3]}
+        assert {"gtol", "stagnation", "budget"} <= reasons
 
 
 class TestStopReason:
