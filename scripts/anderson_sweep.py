@@ -34,14 +34,14 @@ def main() -> int:
     for name, params in FAMILIES.items():
         for bc in args.blocks:
             weights = WeightSequence.powerlog(1.0, count=bc + 1, **params)
-            rep = anderson.verify_positive_commutator(weights, bc)
+            rep = anderson.certify(weights, bc)
             means = rep.details["block_means"]
-            adm = anderson.admissible(weights)
+            growth = next(row for row in rep.checks if row.name == "admissible_growth")
             rows.append({
                 "family": name,
                 "blocks": bc,
                 "dimension": rep.details["dimension"],
-                "admissible": adm.admissible,
+                "admissible": growth.passed,
                 "min_interior_diagonal": min(means[:-2]),
                 "boundary_residual": rep.details["boundary_residual"],
             })

@@ -4,8 +4,11 @@ Covers anderson-verify (with one case large enough to span several of the
 verifier's chunks), staircase (plain and self-adjoint), solve-selfcomm
 (types A and C, and type C on a low-rank input with a 12-dimensional
 kernel), every lie action, minimize (to convergence and out of budget
-mid-stage) and every seq action, each with a fixed seed, into one
-directory per case.  Two checkouts can be compared file by file:
+mid-stage), every seq action and one ``run --config`` job, each with a
+fixed seed, into one directory per case.  Cases that fail on purpose (an
+unreachable tolerance, a search out of budget) keep what they leave on
+disk, and ``--out``/``--report`` redirects are covered.  Two checkouts can
+be compared file by file:
 
     PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_a
     (in the other checkout) PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_b
@@ -13,7 +16,8 @@ directory per case.  Two checkouts can be compared file by file:
 
 The inputs are written under ``inputs/`` by this script rather than by
 ``commlab.matio``, so they do not depend on the checkout being compared.
-The exit status is the worst exit code of the cases.
+The config file names absolute paths, so it goes to a temporary directory
+outside the snapshot.  The exit status is the worst exit code of the cases.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -72,7 +77,17 @@ def inputs(root: str) -> dict[str, str]:
     s16 = np.block([[np.zeros((8, 8)), np.eye(8)], [-np.eye(8), np.zeros((8, 8))]])
     low = g @ g.conj().T
     files["K"] = write_matrix(p(root, "K.txt"), (low + s16 @ low.T @ s16) / 2.0)
+    # Partial sums -5e-11 and -1e-10: inside the trace test's slack.
+    files["slack"] = write_matrix(p(root, "slack.txt"), np.diag([-5e-11, -5e-11]))
     return files
+
+
+def write_config(path: str, f: dict[str, str], out: str) -> str:
+    """A ``run --config`` job; it names its own output directory."""
+    with open(path, "w") as handle:
+        handle.write("# type C through a config file\ncommand = solve-selfcomm\n"
+                     f"type = C\ninput = {f['C']}\noutput_dir = {out}\n")
+    return path
 
 
 def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
@@ -85,9 +100,13 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
         # Enough blocks that the verifier works through several chunks.
         "anderson-multichunk": ["anderson-verify", "--weights", "powerlog:1,0,-1",
                                 "--blocks", "600"],
+        # Exit 3 before any artifact is written.
+        "anderson-tolerance": ["anderson-verify", "--weights", "powerlog:1,-0.5,0",
+                               "--blocks", "6", "--tol", "verify=1e-30"],
         "staircase": ["staircase", "--input", f["G"], f["H0"]],
         "staircase-sa": ["staircase", "--input", f["H0"], f["H1"], "--selfadjoint",
-                         "--tol", "band=1e-8"],
+                         "--tol", "band=1e-8",
+                         "--report", os.path.join(out, "staircase-sa", "checks.csv")],
         "selfcomm-A": ["solve-selfcomm", "--type", "A", "--input", f["T"],
                        "--out", os.path.join(out, "selfcomm-A", "solution.txt")],
         "selfcomm-C": ["solve-selfcomm", "--type", "C", "--input", f["C"]],
@@ -96,6 +115,7 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
                         "--report", os.path.join(out, "lie-killing", "killing.csv")],
         "lie-semisimple": ["lie", "semisimple", "--n", "3"],
         "lie-solve-sl": ["lie", "solve-sl", "--input", f["T"]],
+        "lie-solve-sl-slack": ["lie", "solve-sl", "--input", f["slack"]],
         "minimize": ["minimize", "--target", f["target"], "--restarts", "6",
                      "--max-iters", "4000", "--seed", "3"],
         # Restarts that run out of budget mid-stage.
@@ -104,6 +124,7 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
         "seq-classify": ["seq", "classify", "--family", "powerlog:1,1,2"],
         "seq-mean": ["seq", "mean", "--input", f["values"],
                      "--out", os.path.join(out, "seq-mean", "means.txt")],
+        "run-config": ["run", "--config", f["config"]],
     }
 
 
@@ -113,10 +134,15 @@ def snapshot(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     files = inputs(os.path.join(args.out_dir, "inputs"))
     worst = 0
-    for name, case in cases(files, args.out_dir).items():
-        code = main([*case, "--out-dir", os.path.join(args.out_dir, name)])
-        print(f"{name}: exit {code}")
-        worst = max(worst, code)
+    with tempfile.TemporaryDirectory() as tmp:
+        files["config"] = write_config(os.path.join(tmp, "job.cfg"), files,
+                                       os.path.join(args.out_dir, "run-config"))
+        for name, case in cases(files, args.out_dir).items():
+            if case[0] != "run":
+                case = [*case, "--out-dir", os.path.join(args.out_dir, name)]
+            code = main(case)
+            print(f"{name}: exit {code}")
+            worst = max(worst, code)
     return worst
 
 

@@ -19,7 +19,6 @@ produce a positive compact diagonal.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import numkit
 from .numkit import DomainError, VerificationError
 from .report import SolveReport
-from .sequences import PowerLog, WeightSequence
+from .sequences import WeightSequence
 
 IDENTITY_TOL = 1e-12
 
@@ -285,7 +284,6 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
     """
     if block_count < 3:
         raise DomainError("block_count must be >= 3")
-    start = time.perf_counter()
     d = weights.values(block_count + 1)
     if (d < 0).any():
         raise DomainError("weights must be nonnegative")
@@ -381,7 +379,6 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
         dimension=nblocks * (nblocks + 1) // 2,
         weights=d,
     )
-    rep.wall_time = time.perf_counter() - start
     if failures:
         raise VerificationError(
             f"diagonal block(s) {failures} deviate from the telescoped profile "
@@ -395,40 +392,30 @@ def verify_positive_commutator(weights: WeightSequence, block_count: int,
     return rep
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Whether d_n/n -> 0; analytic for the closed-form family, otherwise a
-    tail diagnostic with no limit claim."""
+def certify(weights: WeightSequence, block_count: int,
+            tolerance: float = numkit.DEFAULT_TOL) -> SolveReport:
+    """The ``anderson-verify`` certificate: the verifier's report, the growth
+    condition d_n/n -> 0 and table ``blocks`` (each diagonal block's mean and
+    its distance from the telescoped profile).
 
-    analytic: bool
-    admissible: bool | None
-    tail_max_ratio: float
-    horizon: int
-
-
-def admissible(weights: WeightSequence, horizon: int = 256) -> AdmissibilityReport:
-    """Decide (or diagnose) the growth condition d_n/n -> 0.
-
-    The tail maximum of d_n/n is reported over the second half of the
-    horizon window, capped at the available prefix for explicit data.
+    ``admissible_growth`` is asserted for the closed-form family only, where
+    it is analytic; ``tail_max_ratio``, the maximum of d_n/n over the second
+    half of 256 terms (capped at an explicit prefix), claims no limit.
     """
-    if weights.family is not None:
-        fam: PowerLog = weights.family
-        count = horizon
-        d = fam.terms(count)
-        verdict: bool | None = fam.ratio_to_index_vanishes()
-        analytic = True
+    rep = verify_positive_commutator(weights, block_count, tolerance)
+    fam = weights.family
+    if fam is not None:
+        rep.check("admissible_growth", 0.0 if fam.ratio_to_index_vanishes() else 1.0, 0.5)
+        d = fam.terms(256)
     else:
-        count = min(horizon, len(weights.prefix))
-        d = weights.values(count)
-        verdict = None
-        analytic = False
-    if count == 0:
-        return AdmissibilityReport(analytic, verdict, 0.0, 0)
-    n = np.arange(1, count + 1, dtype=np.float64)
-    lo = count // 2
-    tail = float(np.max(d[lo:] / n[lo:]))
-    return AdmissibilityReport(analytic, verdict, tail, count)
+        d = weights.values(min(256, len(weights.prefix)))
+    lo = d.size // 2
+    rep.info("tail_max_ratio", float(np.max(d[lo:] / np.arange(lo + 1, d.size + 1.0))))
+    means = rep.details["block_means"]
+    rep.tables["blocks"] = (("block_index", "diagonal_value", "residual"), list(zip(
+        range(1, means.size + 1), means.tolist(),
+        np.abs(means - rep.details["predicted_profile"]).tolist())))
+    return rep
 
 
 def eigenvalue_profile(weights: WeightSequence, parameterization: str,

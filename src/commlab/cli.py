@@ -2,12 +2,13 @@
 
 Subcommands mirror the library modules (anderson-verify, staircase,
 solve-selfcomm, lie, minimize, seq) and a ``run`` mode executes a plain-text
-config.  One table, ``COMMANDS``, names each command's runner, options and
-tolerances; the argument parser, the config-file parser, the key list in
-``--help`` and dispatch are all built from it.  All artifacts are written
-atomically; reports are CSV rows (check_name, value, tolerance, pass).  Exit
-codes: 0 all checks pass, 2 config/parse problems, 3 tolerance failures,
-4 numeric non-convergence.
+config.  One table, ``COMMANDS``, names each command's certificate call,
+options, tolerances and ``--out`` artifact; the argument parser, the
+config-file parser, the key list in ``--help`` and dispatch are all built
+from it.  Each certificate returns a finished SolveReport and ``run`` is the
+one writer: every artifact atomically, then ``report.csv``, rows
+(check_name, value, tolerance, pass).  Exit codes: 0 all checks pass,
+2 config/parse problems, 3 tolerance failures, 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -83,164 +84,53 @@ def parse_family(text: str) -> PowerLog | np.ndarray:
     raise ConfigError(f"family must be powerlog:C,p,q or explicit:PATH, got {text!r}")
 
 
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    def fmt(x) -> str:
-        if isinstance(x, float):
-            return f"{x:.17g}"
-        return str(x)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _save(rep: SolveReport, cfg: RunConfig, name: str, save, data,
-          override: str | None = None) -> None:
-    """Write one artifact with ``save(path, data)`` and list it in the report."""
-    target = override or os.path.join(cfg.output_dir, name)
-    save(target, data)
-    rep.details.setdefault("artifacts", []).append(target)
-
-
 # ---------------------------------------------------------------------------
-# runners: each gets a RunConfig that run() has checked against COMMANDS
+# certificate calls, each on a RunConfig that run() has checked against COMMANDS
 
 
-def _run_anderson(cfg: RunConfig) -> SolveReport:
-    weights = parse_weights(cfg.weights, count=cfg.blocks + 1)
-    rep = anderson.verify_positive_commutator(weights, cfg.blocks,
-                                              tolerance=cfg.tolerances["verify"])
-    adm = anderson.admissible(weights)
-    if adm.admissible is not None:
-        rep.check("admissible_growth", 0.0 if adm.admissible else 1.0, 0.5)
-    rep.info("tail_max_ratio", adm.tail_max_ratio)
-    means = rep.details["block_means"]
-    predicted = rep.details["predicted_profile"]
-    rows = [
-        (k + 1, float(means[k]), float(abs(means[k] - predicted[k])))
-        for k in range(len(means))
-    ]
-    _save(rep, cfg, "blocks.csv", matio.atomic_write,
-          _csv_text(("block_index", "diagonal_value", "residual"), rows))
-    return rep
+def _anderson(cfg: RunConfig) -> SolveReport:
+    return anderson.certify(parse_weights(cfg.weights, count=cfg.blocks + 1), cfg.blocks,
+                            cfg.tolerances["verify"])
 
 
-def _run_staircase(cfg: RunConfig) -> SolveReport:
-    ops = [matio.load_matrix(p) for p in cfg.inputs]
-    tol = cfg.tolerances["band"]
-    result = staircase.staircase_form(ops, selfadjoint_hint=cfg.selfadjoint,
-                                      tolerance=tol)
-    rep = SolveReport(command="staircase")
-    rep.check("unitary_defect", numkit.unitary_defect(result.unitary), 1e-9)
-    e1 = np.zeros(result.unitary.shape[0], dtype=np.complex128)
-    e1[0] = 1.0
-    rep.check("fixes_e1", float(np.abs(result.unitary[:, 0] - e1).max()), 0.0,
-              passed=bool((result.unitary[:, 0] == e1).all()))
-    ok = staircase.verify_band(result, len(ops), cfg.selfadjoint, tol)
-    rep.check("band_bound", 0.0 if ok else 1.0, 0.5)
-    _save(rep, cfg, "unitary.txt", matio.save_matrix, result.unitary)
-    factor = staircase.band_bound_factor(len(ops), cfg.selfadjoint)
-    for i, (t, profile) in enumerate(zip(result.transformed, result.band_profile)):
-        _save(rep, cfg, f"transformed_{i}.txt", matio.save_matrix, t)
-        rows = [(r + 1, int(profile[r]), (r + 1) * factor) for r in range(len(profile))]
-        _save(rep, cfg, f"band_{i}.csv", matio.atomic_write,
-              _csv_text(("row_index", "max_col", "bound"), rows))
-    return rep
+def _staircase(cfg: RunConfig) -> SolveReport:
+    return staircase.certify([matio.load_matrix(p) for p in cfg.inputs], cfg.selfadjoint,
+                             cfg.tolerances["band"])
 
 
-def _run_selfcomm(cfg: RunConfig) -> SolveReport:
+def _selfcomm(cfg: RunConfig) -> SolveReport:
     t = matio.load_matrix(cfg.inputs[0])
     if cfg.solver_type == "A":
-        rep = selfcomm.solve_type_A(t)
-    elif t.shape[0] % 2:
+        return selfcomm.solve_type_A(t)
+    if t.shape[0] % 2:
         raise DomainError("type C needs even dimension")
-    else:
-        rep = selfcomm.solve_type_C(t, selfcomm.make_anticonjugation(t.shape[0] // 2))
-    _save(rep, cfg, "Y.txt", matio.save_matrix, rep.matrices["Y"], cfg.out)
-    return rep
+    return selfcomm.solve_type_C(t, selfcomm.make_anticonjugation(t.shape[0] // 2))
 
 
-def _run_lie(cfg: RunConfig) -> SolveReport:
+def _lie(cfg: RunConfig) -> SolveReport:
     if cfg.action == "solve-sl":
         if not cfg.inputs:
             raise ConfigError("lie solve-sl needs an input matrix")
-        rep = liealg.solve_sl(matio.load_matrix(cfg.inputs[0]))
-        _save(rep, cfg, "Y.txt", matio.save_matrix, rep.matrices["Y"], cfg.out)
-        return rep
-    n = cfg.rank
-    if n < 2:
+        return liealg.solve_sl(matio.load_matrix(cfg.inputs[0]))
+    if cfg.rank < 2:
         raise ConfigError("lie needs n >= 2")
-    basis = liealg.sl_basis(n - 1)
-    rep = SolveReport(command=f"lie {cfg.action}")
-    if cfg.action == "killing":
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for _ in range(20):
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            x -= np.trace(x) / n * np.eye(n)
-            w -= np.trace(w) / n * np.eye(n)
-            lhs = liealg.killing_form(x, w, basis)
-            rhs = 2 * n * complex(np.trace(x @ w))
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-        rep.check("killing_vs_closed_form", worst, 1e-9)
-    rep.check("semisimple", 0.0 if liealg.is_semisimple(basis) else 1.0, 0.5)
-    return rep
+    return liealg.certify_sl(cfg.rank, cfg.seed if cfg.action == "killing" else None)
 
 
-def _run_minimize(cfg: RunConfig) -> SolveReport:
-    target = matio.load_matrix(cfg.target)
-    mcfg = minimize.MinimizeConfig(
-        target=target, restarts=cfg.restarts, max_iters=cfg.max_iters, seed=cfg.seed
-    )
-    result = minimize.minimize_commutator(mcfg)
-    rep = SolveReport(command="minimize")
-    rep.check("feasibility", result.feasibility, minimize.FEASIBILITY_TOL)
-    rep.info("objective", result.objective)
-    rep.info("lower_bound", result.lower_bound)
-    rep.check("objective_above_bound",
-              max(0.0, result.lower_bound - result.objective), 1e-6,
-              passed=(not result.certified)
-              or result.objective >= result.lower_bound - 1e-6)
-    rows = [
-        (t.restart, t.iterations, t.feasibility, t.objective, t.stop_reason,
-         int(t.converged))
-        for t in result.restarts
-    ]
-    _save(rep, cfg, "restarts.csv", matio.atomic_write,
-          _csv_text(("restart", "iters", "feasibility", "objective",
-                     "stop_reason", "converged"), rows),
-          cfg.out)
-    _save(rep, cfg, "best_a.txt", matio.save_matrix, result.best_a)
-    _save(rep, cfg, "best_b.txt", matio.save_matrix, result.best_b)
-    if not result.certified:
-        raise NumericError(
-            f"no restart reached feasibility {minimize.FEASIBILITY_TOL:g}; "
-            f"best non-certified objective {result.objective:.6g}"
-        )
-    return rep
+def _minimize(cfg: RunConfig) -> SolveReport:
+    return minimize.certify(minimize.MinimizeConfig(
+        target=matio.load_matrix(cfg.target), restarts=cfg.restarts,
+        max_iters=cfg.max_iters, seed=cfg.seed))
 
 
-def _run_seq(cfg: RunConfig) -> SolveReport:
-    rep = SolveReport(command=f"seq {cfg.action}")
+def _seq(cfg: RunConfig) -> SolveReport:
     if cfg.action == "classify":
         if not cfg.family:
             raise ConfigError("seq classify needs a family")
-        verdict = idealseq.classify_hsii(parse_family(cfg.family))
-        for name, val in (("in_trace_class", verdict.in_trace_class),
-                          ("in_commutator_class", verdict.in_commutator_class)):
-            rep.info(name, float("nan") if val is None else float(val))
-        for key, val in verdict.diagnostics.items():
-            rep.info(f"diag_{key}", float(val))
-        return rep
+        return idealseq.certify_family(parse_family(cfg.family))
     if not cfg.inputs:
         raise ConfigError("seq mean needs an input value file")
-    values = matio.load_values(cfg.inputs[0])
-    means = idealseq.arithmetic_mean_sequence(values)
-    _save(rep, cfg, "mean.txt", matio.save_values, means, cfg.out)
-    rep.info("terms", float(means.size))
-    rep.info("final_mean", float(means[-1]) if means.size else 0.0)
-    return rep
+    return idealseq.certify_mean(matio.load_values(cfg.inputs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +163,11 @@ class Option:
 
 @dataclass(frozen=True)
 class Command:
-    runner: Callable[[RunConfig], SolveReport]
+    certify: Callable[[RunConfig], SolveReport]
     help: str
     options: tuple[Option, ...]
     tolerances: dict[str, float] = field(default_factory=dict)  # name -> default
+    out: str | None = None  # the artifact that ``--out`` redirects
 
 
 # Keys every command takes, besides ``command`` and ``tol.NAME``.
@@ -289,20 +180,20 @@ _OUT = Option("out", "out", "--out")
 _SEED = Option("seed", "seed", "--seed", int, 0, help="random seed (COMMLAB_SEED overrides)")
 
 COMMANDS = {
-    "anderson-verify": Command(_run_anderson, "certify [C,Z] for a weight family", (
+    "anderson-verify": Command(_anderson, "certify [C,Z] for a weight family", (
         Option("weights", "weights", "--weights", required=True),
         Option("blocks", "blocks", "--blocks", int, 8),
     ), {"verify": numkit.DEFAULT_TOL}),
-    "staircase": Command(_run_staircase, "simultaneous banded form", (
+    "staircase": Command(_staircase, "simultaneous banded form", (
         dataclasses.replace(_INPUT, required=True, many=True),
         Option("selfadjoint", "selfadjoint", "--selfadjoint", bool, False),
     ), {"band": 1e-9}),
-    "solve-selfcomm": Command(_run_selfcomm, "solve [Y*,Y] = T", (
+    "solve-selfcomm": Command(_selfcomm, "solve [Y*,Y] = T", (
         Option("type", "solver_type", "--type", required=True, choices=("A", "C")),
         dataclasses.replace(_INPUT, required=True),
         dataclasses.replace(_OUT, help="solution matrix path"),
-    )),
-    "lie": Command(_run_lie, "Killing form / semisimplicity / sl solver", (
+    ), out="Y.txt"),
+    "lie": Command(_lie, "Killing form / semisimplicity / sl solver", (
         Option("action", "action", "action", default="killing",
                choices=("killing", "semisimple", "solve-sl")),
         Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)",
@@ -310,20 +201,20 @@ COMMANDS = {
         dataclasses.replace(_SEED, actions=("killing",)),
         dataclasses.replace(_INPUT, actions=("solve-sl",)),
         dataclasses.replace(_OUT, actions=("solve-sl",)),
-    )),
-    "minimize": Command(_run_minimize, "penalty search for the norm minimum", (
+    ), out="Y.txt"),
+    "minimize": Command(_minimize, "penalty search for the norm minimum", (
         Option("target", "target", "--target", required=True),
         Option("restarts", "restarts", "--restarts", int, 50),
         Option("max_iters", "max_iters", "--max-iters", int, 20000),
         _SEED,
         dataclasses.replace(_OUT, help="restart CSV path"),
-    )),
-    "seq": Command(_run_seq, "sequence classifiers", (
+    ), out="restarts.csv"),
+    "seq": Command(_seq, "sequence classifiers", (
         Option("action", "action", "action", default="classify", choices=("classify", "mean")),
         Option("family", "family", "--family", actions=("classify",)),
         dataclasses.replace(_INPUT, actions=("mean",)),
         dataclasses.replace(_OUT, actions=("mean",)),
-    )),
+    ), out="mean.txt"),
 }
 
 
@@ -395,9 +286,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def run(config: RunConfig) -> SolveReport:
-    """Check a config against its COMMANDS entry, run it, write the report CSV.
-
-    Unset (None) options take the table default.
+    """Check a config against its COMMANDS entry (unset options take the table
+    default), run its certificate, write its artifacts and then ``report.csv``,
+    or raise the report's ``failure`` in place of the latter.
     """
     entry = COMMANDS.get(config.command)
     if entry is None:
@@ -431,10 +322,19 @@ def run(config: RunConfig) -> SolveReport:
     if not os.access(cfg.output_dir, os.W_OK):
         raise ConfigError(f"output directory {cfg.output_dir!r} is not writable")
     start = time.perf_counter()
-    rep = entry.runner(cfg)
-    if not rep.wall_time:
-        rep.wall_time = time.perf_counter() - start
-    _save(rep, cfg, "report.csv", matio.atomic_write, rep.csv_text(), cfg.report_path)
+    rep = entry.certify(cfg)
+    rep.wall_time = time.perf_counter() - start
+    artifacts = [(f"{name}.txt", matio.save_values if m.ndim == 1 else matio.save_matrix, m)
+                 for name, m in rep.matrices.items()]
+    artifacts += [(f"{name}.csv", matio.atomic_write, matio.format_table(*table))
+                  for name, table in rep.tables.items()]
+    for name, save, data in artifacts:
+        save((name == entry.out and cfg.out) or os.path.join(cfg.output_dir, name), data)
+    if rep.failure is not None:
+        raise rep.failure
+    rows = [(row.name, row.measured, row.tolerance, int(row.passed)) for row in rep.checks]
+    matio.atomic_write(cfg.report_path or os.path.join(cfg.output_dir, "report.csv"),
+                       matio.format_table(("check_name", "value", "tolerance", "pass"), rows))
     return rep
 
 

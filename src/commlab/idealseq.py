@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .report import SolveReport
 from .sequences import PowerLog
 
 #: Accepted by :func:`classify_hsii`: a PowerLog family or explicit terms.
@@ -88,3 +89,28 @@ def arithmetic_mean_sequence(values: Sequence[float]) -> np.ndarray:
     order = np.argsort(-np.abs(lam), kind="stable")
     arranged = lam[order]
     return np.cumsum(arranged) / np.arange(1, lam.size + 1, dtype=np.float64)
+
+
+def certify_family(family: SequenceFamily) -> SolveReport:
+    """The ``seq classify`` certificate: :func:`classify_hsii` as
+    informational rows, an undecided verdict as NaN, then each diagnostic
+    as ``diag_<key>``."""
+    verdict = classify_hsii(family)
+    rep = SolveReport(command="seq classify")
+    for name, val in (("in_trace_class", verdict.in_trace_class),
+                      ("in_commutator_class", verdict.in_commutator_class)):
+        rep.info(name, float("nan") if val is None else float(val))
+    for key, val in verdict.diagnostics.items():
+        rep.info(f"diag_{key}", float(val))
+    return rep
+
+
+def certify_mean(values: Sequence[float]) -> SolveReport:
+    """The ``seq mean`` certificate: the running means, written as ``mean``,
+    with their count and last value as informational rows."""
+    means = arithmetic_mean_sequence(values)
+    rep = SolveReport(command="seq mean")
+    rep.matrices["mean"] = means
+    rep.info("terms", float(means.size))
+    rep.info("final_mean", float(means[-1]) if means.size else 0.0)
+    return rep

@@ -54,6 +54,20 @@ def format_matrix(m) -> str:
     return "".join(parts)
 
 
+def format_table(header, rows) -> str:
+    """CSV text: the header line, then one line per row.
+
+    A float cell prints with 17 significant digits and any other cell as
+    ``str``; each column takes the kind of its first row's cell, so the
+    whole body is one %-format.
+    """
+    head = ",".join(header) + "\n"
+    if not rows:
+        return head
+    line = ",".join("%.17g" if isinstance(x, float) else "%s" for x in rows[0]) + "\n"
+    return head + line * len(rows) % tuple(itertools.chain.from_iterable(rows))
+
+
 def _scan_entries(lines: list[str], need: int) -> np.ndarray:
     """Line-by-line parse of the body; names the first bad line."""
     # Each entry has its own line, so a header claiming more than the file

@@ -1,4 +1,5 @@
-"""Check-row reports shared by the solvers, verifiers and the CLI."""
+"""The result contract of every certificate: check rows plus the artifacts
+the CLI writes."""
 
 from __future__ import annotations
 
@@ -20,13 +21,20 @@ class CheckRow:
 
 @dataclass
 class SolveReport:
-    """Solver / verifier output: named checks, artifacts and metadata."""
+    """Named checks, artifacts and metadata of one certificate.
+
+    ``matrices`` are written as ``<name>.txt`` (a 1-d array as a value file)
+    and ``tables``, (header, rows) pairs, as ``<name>.csv``.  ``failure`` is
+    raised once the artifacts are written, in place of ``report.csv``.
+    """
 
     command: str
     checks: list[CheckRow] = field(default_factory=list)
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
+    tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
     details: dict[str, object] = field(default_factory=dict)
     wall_time: float = 0.0
+    failure: Exception | None = None
 
     @property
     def passed(self) -> bool:
@@ -46,12 +54,3 @@ class SolveReport:
     def info(self, name: str, measured: float) -> CheckRow:
         """Append an informational (always passing) row."""
         return self.check(name, measured, INFORMATIONAL, passed=True)
-
-    def csv_text(self) -> str:
-        lines = ["check_name,value,tolerance,pass"]
-        for row in self.checks:
-            lines.append(
-                f"{row.name},{row.measured:.17g},{row.tolerance:.17g},"
-                f"{1 if row.passed else 0}"
-            )
-        return "\n".join(lines) + "\n"

@@ -136,9 +136,9 @@ def spectral_pairing(t, j: AntiConjugation, scale: float | None = None
     is ||T||_F when the caller has already computed it.
     """
     t = numkit.as_square(t)
-    eig = numkit.hermitian_eigen(t)  # rejects non-Hermitian input first
     if scale is None:
         scale = numkit.hs_norm(t)
+    eig = numkit.hermitian_eigen(t, scale)  # rejects non-Hermitian input first
     if sp_defect(t, j) > 1e-9 * (1.0 + scale):
         raise DomainError("not in sp up to tolerance")
     w = eig.values

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import numkit
 from .numkit import DomainError, NumericError
+from .report import SolveReport
 
 # Relative magnitude floor when picking the phase-normalization pivot.
 _PIVOT_RTOL = 1e-8
@@ -33,8 +34,6 @@ class StaircaseResult:
     unitary: np.ndarray
     transformed: tuple[np.ndarray, ...]
     band_profile: tuple[np.ndarray, ...]
-    selfadjoint: bool
-    tolerance: float
 
 
 def _phase_fix(w: np.ndarray) -> np.ndarray:
@@ -102,8 +101,6 @@ def staircase_form(ops, selfadjoint_hint: bool = False,
         unitary=basis,
         transformed=transformed,
         band_profile=tuple(np.asarray(p, dtype=np.int64) for p in profile),
-        selfadjoint=bool(selfadjoint_hint),
-        tolerance=float(tolerance),
     )
 
 
@@ -127,6 +124,31 @@ def verify_band(result: StaircaseResult, n_ops: int, selfadjoint: bool,
         if (np.abs(t) > tolerance)[~allowed].any():
             return False
     return True
+
+
+def certify(ops, selfadjoint: bool = False,
+            tolerance: float = numkit.DEFAULT_TOL) -> SolveReport:
+    """The ``staircase`` certificate: rows for U's unitary defect, U e_1 = e_1
+    exactly and :func:`verify_band`; U as ``unitary``, operator i as
+    ``transformed_i`` and its band profile against r * f as table ``band_i``.
+    """
+    result = staircase_form(ops, selfadjoint_hint=selfadjoint, tolerance=tolerance)
+    u, n_ops = result.unitary, len(result.transformed)
+    rep = SolveReport(command="staircase")
+    rep.check("unitary_defect", numkit.unitary_defect(u), 1e-9)
+    e1 = np.eye(u.shape[0], 1, dtype=np.complex128)[:, 0]
+    rep.check("fixes_e1", float(np.abs(u[:, 0] - e1).max()), 0.0,
+              passed=bool((u[:, 0] == e1).all()))
+    ok = verify_band(result, n_ops, selfadjoint, tolerance)
+    rep.check("band_bound", 0.0 if ok else 1.0, 0.5)
+    rep.matrices["unitary"] = u
+    factor = band_bound_factor(n_ops, selfadjoint)
+    for i, (t, profile) in enumerate(zip(result.transformed, result.band_profile)):
+        rep.matrices[f"transformed_{i}"] = t
+        rows = range(1, profile.size + 1)
+        rep.tables[f"band_{i}"] = (("row_index", "max_col", "bound"), list(zip(
+            rows, profile.tolist(), (r * factor for r in rows))))
+    return rep
 
 
 def diagonal_invariance_check(diag_matrix, unitary, tolerance: float) -> bool:

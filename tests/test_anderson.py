@@ -427,21 +427,37 @@ class TestLoopOracle:
 
 
 class TestAdmissible:
+    """The growth rows of the ``anderson-verify`` certificate."""
+
+    @staticmethod
+    def rows(weights, block_count=8):
+        return {row.name: row for row in anderson.certify(weights, block_count).checks}
+
     def test_sqrt_admissible(self):
-        rep = anderson.admissible(SQRT_N)
-        assert rep.analytic and rep.admissible is True
+        row = self.rows(SQRT_N)["admissible_growth"]
+        assert row.measured == 0.0 and row.passed
 
     def test_log_admissible(self):
-        assert anderson.admissible(LOG_N).admissible is True
+        assert self.rows(LOG_N)["admissible_growth"].passed
 
     def test_quadratic_not_admissible(self):
         fast = WeightSequence.powerlog(1.0, 2.0, count=8)
-        assert anderson.admissible(fast).admissible is False
+        row = self.rows(fast, 7)["admissible_growth"]
+        assert row.measured == 1.0 and not row.passed
 
     def test_explicit_reports_only(self):
-        rep = anderson.admissible(WeightSequence.explicit([1.0, 4.0, 9.0, 16.0]))
-        assert not rep.analytic and rep.admissible is None
-        assert rep.tail_max_ratio == pytest.approx(4.0)  # d_n/n peaks at the tail
+        rows = self.rows(WeightSequence.explicit([1.0, 4.0, 9.0, 16.0]), 3)
+        assert "admissible_growth" not in rows
+        assert rows["tail_max_ratio"].measured == pytest.approx(4.0)  # d_n/n peaks at the tail
+
+    def test_blocks_table(self):
+        rep = anderson.certify(SQRT_N, 8)
+        header, rows = rep.tables["blocks"]
+        assert header == ("block_index", "diagonal_value", "residual")
+        means = rep.details["block_means"]
+        assert rows == [(k + 1, float(means[k]),
+                         float(abs(means[k] - rep.details["predicted_profile"][k])))
+                        for k in range(9)]
 
 
 class TestEigenvalueProfile:

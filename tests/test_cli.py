@@ -203,6 +203,15 @@ class TestLieCommand:
                      "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "Y.txt").exists()
 
+    def test_solve_sl_takes_the_type_a_slack(self, tmp_path):
+        # Partial sums -5e-11 and -1e-10 lie inside type A's trace slack, and
+        # solve-sl's coefficients are the same partial sums.
+        inp = tmp_path / "T.txt"
+        matio.save_matrix(inp, np.diag([-5e-11, -5e-11]))
+        for argv in (["solve-selfcomm", "--type", "A"], ["lie", "solve-sl"]):
+            assert main([*argv, "--input", str(inp), "--out-dir", str(tmp_path)]) == 0
+        assert read_report(tmp_path / "report.csv")["coefficient_negativity"]["pass"] == "1"
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -407,6 +416,56 @@ class TestArgvConfigParity:
         assert "report.csv" in names and names == sorted(os.listdir(by_file))
         for name in names:
             assert (by_argv / name).read_bytes() == (by_file / name).read_bytes(), name
+
+
+# argv ("{in}" the input directory, "{out}" the output directory), exit
+# code, and every file the run leaves in the output directory.
+FILE_SETS = {
+    "anderson-verify": ("anderson-verify --weights powerlog:1,-0.5,0 --blocks 6", 0,
+                        {"blocks.csv", "report.csv"}),
+    "anderson-verify-exit-3": (
+        "anderson-verify --weights powerlog:1,-0.5,0 --blocks 6 --tol verify=1e-30", 3,
+        set()),
+    "staircase": ("staircase --input {in}/H0.txt {in}/H1.txt", 0,
+                  {"unitary.txt", "transformed_0.txt", "transformed_1.txt", "band_0.csv",
+                   "band_1.csv", "report.csv"}),
+    "staircase-report": ("staircase --input {in}/H0.txt --selfadjoint "
+                         "--report {out}/checks.csv", 0,
+                         {"unitary.txt", "transformed_0.txt", "band_0.csv", "checks.csv"}),
+    "solve-selfcomm-A": ("solve-selfcomm --type A --input {in}/T.txt", 0,
+                         {"Y.txt", "report.csv"}),
+    "solve-selfcomm-C-out": ("solve-selfcomm --type C --input {in}/C.txt "
+                             "--out {out}/sol.txt", 0, {"sol.txt", "report.csv"}),
+    "lie-killing": ("lie killing --n 3", 0, {"report.csv"}),
+    "lie-semisimple-report": ("lie semisimple --n 3 --report {out}/lie.csv", 0,
+                              {"lie.csv"}),
+    "lie-solve-sl": ("lie solve-sl --input {in}/T.txt", 0, {"Y.txt", "report.csv"}),
+    "lie-solve-sl-out": ("lie solve-sl --input {in}/T.txt --out {out}/W.txt", 0,
+                         {"W.txt", "report.csv"}),
+    "minimize-out": ("minimize --target {in}/target.txt --restarts 3 --max-iters 3000 "
+                     "--seed 4 --out {out}/r.csv", 0,
+                     {"r.csv", "best_a.txt", "best_b.txt", "report.csv"}),
+    "minimize-exit-4": ("minimize --target {in}/target.txt --restarts 1 --max-iters 2", 4,
+                        {"restarts.csv", "best_a.txt", "best_b.txt"}),
+    "minimize-exit-4-redirects": (
+        "minimize --target {in}/target.txt --restarts 1 --max-iters 2 "
+        "--out {out}/r.csv --report {out}/checks.csv", 4,
+        {"r.csv", "best_a.txt", "best_b.txt"}),
+    "seq-classify": ("seq classify --family powerlog:1,1,2", 0, {"report.csv"}),
+    "seq-mean": ("seq mean --input {in}/v.txt", 0, {"mean.txt", "report.csv"}),
+    "seq-mean-out": ("seq mean --input {in}/v.txt --out {out}/m.txt --report {out}/s.csv",
+                     0, {"m.txt", "s.csv"}),
+}
+
+
+class TestFilesLeft:
+    @pytest.mark.parametrize("case", sorted(FILE_SETS))
+    def test_exact_file_set(self, tmp_path, inputs, case):
+        argv_text, code, names = FILE_SETS[case]
+        out = tmp_path / "out"
+        argv = argv_text.format(**{"in": inputs, "out": out}).split()
+        assert main([*argv, "--out-dir", str(out)]) == code
+        assert set(os.listdir(out)) == names
 
 
 class TestRejections:

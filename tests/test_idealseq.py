@@ -88,6 +88,27 @@ class TestTypeAPrefix:
             selfcomm.solve_type_A(np.diag([1.0, 1.0, -1.0]))
 
 
+class TestCertificates:
+    def test_family_rows(self):
+        rep = idealseq.certify_family(decay(1.0, 2.0))
+        rows = {row.name: row.measured for row in rep.checks}
+        assert rep.command == "seq classify" and rep.passed
+        assert (rows["in_trace_class"], rows["in_commutator_class"]) == (1.0, 0.0)
+        assert rows["diag_terms"] == 4096.0
+
+    def test_explicit_verdicts_are_nan(self):
+        rows = {r.name: r.measured for r in idealseq.certify_family([1.0, 0.5]).checks}
+        assert np.isnan(rows["in_trace_class"]) and np.isnan(rows["in_commutator_class"])
+
+    def test_mean(self):
+        rep = idealseq.certify_mean([1.0, 0.0, 0.0, 0.0])
+        assert rep.command == "seq mean"
+        assert np.allclose(rep.matrices["mean"], [1.0, 0.5, 1 / 3, 0.25], atol=1e-15)
+        assert [(r.name, r.measured) for r in rep.checks] == [
+            ("terms", 4.0), ("final_mean", 0.25)]
+        assert [r.measured for r in idealseq.certify_mean([]).checks] == [0.0, 0.0]
+
+
 class TestArithmeticMean:
     def test_single_spike(self):
         got = idealseq.arithmetic_mean_sequence([1.0, 0.0, 0.0, 0.0])

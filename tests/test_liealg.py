@@ -177,6 +177,28 @@ class TestSolveSl:
             "residual", "coefficient_negativity", "solution_hs_norm"]
         assert list(rep.details) == ["coefficients"]
 
+    def test_coefficients_take_the_partial_sum_slack(self, rng):
+        # The coefficients are type (A)'s first partial sums, so their row
+        # takes the tolerance of type (A)'s partial_sum_negativity row.
+        for a in (random_traceless_hermitian(rng, 5), np.diag([-5e-11, -5e-11])):
+            rep = liealg.solve_sl(a)
+            assert rep.passed
+            assert rep.checks[1].tolerance == selfcomm.solve_type_A(a).checks[1].tolerance
+
+
+class TestCertifySl:
+    def test_killing_rows(self):
+        rep = liealg.certify_sl(3, seed=5)
+        assert rep.command == "lie killing" and rep.passed
+        assert [row.name for row in rep.checks] == ["killing_vs_closed_form", "semisimple"]
+        assert rep.checks == liealg.certify_sl(3, seed=5).checks
+
+    def test_semisimple_rows(self):
+        rep = liealg.certify_sl(4)
+        assert rep.command == "lie semisimple"
+        assert [(row.name, row.measured, row.passed) for row in rep.checks] == [
+            ("semisimple", 0.0, True)]
+
 
 class TestOberwolfachSplit:
     def test_hermitian_kills_second_commutator(self, rng):

@@ -171,6 +171,35 @@ class TestAgainstPerEntryOracle:
                 == outcome(lambda t: matio_oracle.parse_values(path, t), text))
 
 
+def per_value_csv(header, rows) -> str:
+    """The CSV writer ``format_table`` replaced: one f-string per value."""
+    def fmt(x) -> str:
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(-10**20, 10**20),
+        st.one_of(special_reals, st.floats()),
+        st.text(alphabet="abc_%s", max_size=6),
+        st.builds(float, st.integers(-5, 5))), max_size=40))
+    def test_bytes_match_per_value_formatting(self, rows):
+        header = ("index", "value", "name", "whole")
+        assert matio.format_table(header, rows) == per_value_csv(header, rows)
+
+    def test_numpy_scalars(self):
+        rows = [(np.int64(3), np.float64(0.1), True)]
+        assert matio.format_table(("a", "b", "c"), rows) == "a,b,c\n3,0.10000000000000001,True\n"
+
+    def test_header_only(self):
+        assert matio.format_table(("check_name", "value"), []) == "check_name,value\n"
+
+
 def good_lines(n: int) -> list[str]:
     m = np.arange(n * n, dtype=float).reshape(n, n) * (0.5 - 1.25j)
     return matio.format_matrix(m).splitlines()

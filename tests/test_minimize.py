@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from commlab import minimize, numkit
-from commlab.numkit import DomainError
+from commlab.numkit import DomainError, NumericError
 from conftest import random_complex
 import minimize_oracle
 
@@ -112,6 +112,28 @@ class TestPenaltyGradient:
             minimize.penalty_gradient(a, a, np.zeros((2, 2)), 1.0)
         with pytest.raises(numkit.ShapeError):
             minimize.penalty_gradient(np.zeros(3), np.zeros(3), np.zeros((3, 3)), 1.0)
+
+
+class TestCertify:
+    def test_certified_search(self):
+        cfg = minimize.MinimizeConfig(target=np.diag([1.0, -1.0]), restarts=3, seed=11)
+        rep = minimize.certify(cfg)
+        res = minimize.minimize_commutator(cfg)
+        assert rep.failure is None and rep.passed
+        assert [row.name for row in rep.checks] == [
+            "feasibility", "objective", "lower_bound", "objective_above_bound"]
+        assert rep.checks[1].measured == res.objective
+        assert (rep.matrices["best_a"] == res.best_a).all()
+        header, rows = rep.tables["restarts"]
+        assert header[0] == "restart" and len(rows) == 3
+
+    def test_uncertified_search_sets_failure(self):
+        cfg = minimize.MinimizeConfig(target=np.diag([1.0, -1.0]), restarts=1, max_iters=2)
+        rep = minimize.certify(cfg)
+        assert isinstance(rep.failure, NumericError)
+        assert "no restart reached feasibility" in str(rep.failure)
+        assert not rep.passed  # the feasibility row fails
+        assert sorted(rep.matrices) == ["best_a", "best_b"] and list(rep.tables) == ["restarts"]
 
 
 class TestVerifyOptimalPair:

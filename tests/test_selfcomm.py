@@ -359,16 +359,15 @@ class TestSolveTypeC:
             assert np.abs(got - want).max() <= 1e-7
 
     def test_one_norm_of_t_per_solve(self, rng, monkeypatch):
-        # Besides the Hermitian check's own, one ||T|| serves the pairing's
-        # thresholds and the residual tolerance; the other two are the
-        # residual's and Y's.
+        # One ||T|| serves the Hermitian check, the pairing's thresholds and
+        # the residual tolerance; the other two are the residual's and Y's.
         j = selfcomm.make_anticonjugation(3)
         t = random_sp_hermitian(rng, j)
         calls = []
         norm = numkit.hs_norm
         monkeypatch.setattr(numkit, "hs_norm", lambda a: calls.append(1) or norm(a))
         selfcomm.solve_type_C(t, j)
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_non_hermitian_rejected_as_such(self, rng):
         j = selfcomm.make_anticonjugation(3)

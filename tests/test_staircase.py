@@ -112,10 +112,22 @@ class TestVerifyBand:
             unitary=np.eye(d, dtype=complex),
             transformed=(dense,),
             band_profile=(np.full(d, d, dtype=np.int64),),
-            selfadjoint=False,
-            tolerance=1e-9,
         )
         assert not staircase.verify_band(fake, 1, False, 1e-9)
+
+
+class TestCertify:
+    def test_rows_matrices_and_tables(self, rng):
+        ops = [random_hermitian(rng, 9), random_hermitian(rng, 9)]
+        rep = staircase.certify(ops, selfadjoint=True, tolerance=1e-9)
+        assert rep.command == "staircase" and rep.passed
+        assert [row.name for row in rep.checks] == ["unitary_defect", "fixes_e1", "band_bound"]
+        assert sorted(rep.matrices) == ["transformed_0", "transformed_1", "unitary"]
+        res = staircase.staircase_form(ops, selfadjoint_hint=True, tolerance=1e-9)
+        assert (rep.matrices["unitary"] == res.unitary).all()
+        header, rows = rep.tables["band_1"]
+        assert header == ("row_index", "max_col", "bound")
+        assert rows == [(r + 1, int(res.band_profile[1][r]), 3 * (r + 1)) for r in range(9)]
 
 
 class TestDiagonalInvariance:
