@@ -4,10 +4,11 @@ Covers anderson-verify (with one case large enough to span several of the
 verifier's chunks), staircase (plain and self-adjoint), solve-selfcomm
 (types A and C, and type C on a low-rank input with a 12-dimensional
 kernel), every lie action, minimize (to convergence and out of budget
-mid-stage), every seq action and one ``run --config`` job, each with a
-fixed seed, into one directory per case.  Cases that fail on purpose (an
-unreachable tolerance, a search out of budget) keep what they leave on
-disk, and ``--out``/``--report`` redirects are covered.  Two checkouts can
+mid-stage), every seq action and two ``run --config`` jobs (one exits 2 on
+a seed that ``lie`` does not read), each with a fixed seed, into one
+directory per case.  Cases that fail on purpose (an unreachable tolerance,
+a search out of budget) keep what they leave on disk, and
+``--out``/``--report`` redirects are covered.  Two checkouts can
 be compared file by file:
 
     PYTHONPATH=src python scripts/cli_snapshot.py --out-dir ../snap_a
@@ -16,7 +17,7 @@ be compared file by file:
 
 The inputs are written under ``inputs/`` by this script rather than by
 ``commlab.matio``, so they do not depend on the checkout being compared.
-The config file names absolute paths, so it goes to a temporary directory
+The config files name absolute paths, so they go to a temporary directory
 outside the snapshot.  The exit status is the worst exit code of the cases.
 """
 
@@ -82,12 +83,18 @@ def inputs(root: str) -> dict[str, str]:
     return files
 
 
-def write_config(path: str, f: dict[str, str], out: str) -> str:
-    """A ``run --config`` job; it names its own output directory."""
-    with open(path, "w") as handle:
-        handle.write("# type C through a config file\ncommand = solve-selfcomm\n"
-                     f"type = C\ninput = {f['C']}\noutput_dir = {out}\n")
-    return path
+def write_configs(tmp: str, f: dict[str, str], out: str) -> None:
+    """The ``run --config`` jobs, each naming its own output directory."""
+    bodies = {
+        "config": "# type C through a config file\ncommand = solve-selfcomm\n"
+                  f"type = C\ninput = {f['C']}\n",
+        # lie reads no seed: exit 2 before any file is written.
+        "config-lie-seed": "command = lie\naction = killing\nseed = 5\n",
+    }
+    for name, body in bodies.items():
+        f[name] = os.path.join(tmp, f"{name}.cfg")
+        with open(f[name], "w") as handle:
+            handle.write(body + f"output_dir = {os.path.join(out, 'run-' + name)}\n")
 
 
 def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
@@ -111,7 +118,7 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
                        "--out", os.path.join(out, "selfcomm-A", "solution.txt")],
         "selfcomm-C": ["solve-selfcomm", "--type", "C", "--input", f["C"]],
         "selfcomm-C-kernel": ["solve-selfcomm", "--type", "C", "--input", f["K"]],
-        "lie-killing": ["lie", "killing", "--n", "4", "--seed", "5",
+        "lie-killing": ["lie", "killing", "--n", "4",
                         "--report", os.path.join(out, "lie-killing", "killing.csv")],
         "lie-semisimple": ["lie", "semisimple", "--n", "3"],
         "lie-solve-sl": ["lie", "solve-sl", "--input", f["T"]],
@@ -125,6 +132,7 @@ def cases(f: dict[str, str], out: str) -> dict[str, list[str]]:
         "seq-mean": ["seq", "mean", "--input", f["values"],
                      "--out", os.path.join(out, "seq-mean", "means.txt")],
         "run-config": ["run", "--config", f["config"]],
+        "run-config-lie-seed": ["run", "--config", f["config-lie-seed"]],
     }
 
 
@@ -135,8 +143,7 @@ def snapshot(argv: list[str] | None = None) -> int:
     files = inputs(os.path.join(args.out_dir, "inputs"))
     worst = 0
     with tempfile.TemporaryDirectory() as tmp:
-        files["config"] = write_config(os.path.join(tmp, "job.cfg"), files,
-                                       os.path.join(args.out_dir, "run-config"))
+        write_configs(tmp, files, args.out_dir)
         for name, case in cases(files, args.out_dir).items():
             if case[0] != "run":
                 case = [*case, "--out-dir", os.path.join(args.out_dir, name)]

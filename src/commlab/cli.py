@@ -114,7 +114,7 @@ def _lie(cfg: RunConfig) -> SolveReport:
         return liealg.solve_sl(matio.load_matrix(cfg.inputs[0]))
     if cfg.rank < 2:
         raise ConfigError("lie needs n >= 2")
-    return liealg.certify_sl(cfg.rank, cfg.seed if cfg.action == "killing" else None)
+    return liealg.certify_sl(cfg.rank, killing=cfg.action == "killing")
 
 
 def _minimize(cfg: RunConfig) -> SolveReport:
@@ -177,7 +177,6 @@ COMMON = (
 )
 _INPUT = Option("input", "inputs", "--input", tuple, ())
 _OUT = Option("out", "out", "--out")
-_SEED = Option("seed", "seed", "--seed", int, 0, help="random seed (COMMLAB_SEED overrides)")
 
 COMMANDS = {
     "anderson-verify": Command(_anderson, "certify [C,Z] for a weight family", (
@@ -187,7 +186,7 @@ COMMANDS = {
     "staircase": Command(_staircase, "simultaneous banded form", (
         dataclasses.replace(_INPUT, required=True, many=True),
         Option("selfadjoint", "selfadjoint", "--selfadjoint", bool, False),
-    ), {"band": 1e-9}),
+    ), {"band": staircase.BAND_TOL}),
     "solve-selfcomm": Command(_selfcomm, "solve [Y*,Y] = T", (
         Option("type", "solver_type", "--type", required=True, choices=("A", "C")),
         dataclasses.replace(_INPUT, required=True),
@@ -198,7 +197,6 @@ COMMANDS = {
                choices=("killing", "semisimple", "solve-sl")),
         Option("n", "rank", "--n", int, 3, help="matrix size for sl(n)",
                actions=("killing", "semisimple")),
-        dataclasses.replace(_SEED, actions=("killing",)),
         dataclasses.replace(_INPUT, actions=("solve-sl",)),
         dataclasses.replace(_OUT, actions=("solve-sl",)),
     ), out="Y.txt"),
@@ -206,7 +204,7 @@ COMMANDS = {
         Option("target", "target", "--target", required=True),
         Option("restarts", "restarts", "--restarts", int, 50),
         Option("max_iters", "max_iters", "--max-iters", int, 20000),
-        _SEED,
+        Option("seed", "seed", "--seed", int, 0, help="random seed (COMMLAB_SEED overrides)"),
         dataclasses.replace(_OUT, help="restart CSV path"),
     ), out="restarts.csv"),
     "seq": Command(_seq, "sequence classifiers", (
@@ -309,9 +307,7 @@ def run(config: RunConfig) -> SolveReport:
         if opt.choices and value not in opt.choices:
             raise ConfigError(f"unknown {config.command} {opt.key} {value!r}")
     env_seed = os.environ.get("COMMLAB_SEED")
-    action = changes.get("action", config.action)
-    if env_seed is not None and any(opt.key == "seed" and opt.read_by(action)
-                                    for opt in entry.options):
+    if env_seed is not None and any(opt.key == "seed" for opt in entry.options):
         try:
             changes["seed"] = int(env_seed)
         except ValueError:
@@ -354,8 +350,7 @@ formats:
                    separated list; unknown or duplicate keys, and keys or
                    tolerance names the command does not take, are rejected
 environment:
-  COMMLAB_SEED     overrides the seed of the commands that take one; the
-                   others ignore it
+  COMMLAB_SEED     overrides minimize's seed; the other commands ignore it
 config keys (flag, default) and tol.NAME tolerance names (default):
 """
 

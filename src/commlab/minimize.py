@@ -141,11 +141,8 @@ class MinimizeConfig:
     dimension: int = field(init=False)
 
     def __post_init__(self):
-        self.target = numkit.as_square(self.target)
+        self.target = numkit.require_traceless(self.target)
         self.dimension = self.target.shape[0]
-        scale = numkit.hs_norm(self.target)
-        if abs(complex(np.trace(self.target))) > 1e-9 * (1.0 + scale):
-            raise DomainError("target must be traceless")
         if self.restarts < 1 or self.max_iters < 1:
             raise DomainError("restarts and max_iters must be positive")
 

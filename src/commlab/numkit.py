@@ -19,6 +19,9 @@ DEFAULT_TOL = 1e-10
 # Relative Hermitian-defect tolerance used by all Hermitian preconditions.
 HERMITIAN_RTOL = 1e-9
 
+# Relative trace tolerance of the trace-zero precondition.
+TRACE_RTOL = 1e-9
+
 
 class ShapeError(ValueError):
     """Operand shapes do not match the operation's requirements."""
@@ -104,6 +107,19 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL,
         scale = hs_norm(a)
     if hermitian_defect(a) > rtol * (1.0 + scale):
         raise DomainError("matrix is not Hermitian within tolerance")
+    return a
+
+
+def require_traceless(a, scale: float | None = None) -> np.ndarray:
+    """A as a square matrix, or DomainError when |tr A| > TRACE_RTOL (1 + ||A||_F).
+
+    ``scale`` is ||A||_F when the caller has already computed it.
+    """
+    a = as_square(a)
+    if scale is None:
+        scale = hs_norm(a)
+    if abs(complex(np.trace(a))) > TRACE_RTOL * (1.0 + scale):
+        raise DomainError("trace-zero required")
     return a
 
 

@@ -18,8 +18,6 @@ from . import numkit
 from .numkit import DomainError, VerificationError
 from .report import SolveReport
 
-TRACE_RTOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # type (A): all compact / finite matrices
@@ -38,8 +36,7 @@ def solve_type_A(t) -> SolveReport:
     t = numkit.as_square(t)
     scale = numkit.hs_norm(t)
     eig = numkit.hermitian_eigen(t, scale)  # rejects non-Hermitian input first
-    if abs(complex(np.trace(t))) > TRACE_RTOL * (1.0 + scale):
-        raise DomainError("trace-zero required")
+    numkit.require_traceless(t, scale)
     sums = np.cumsum(eig.values)
     dim = t.shape[0]
     yhat = np.zeros((dim, dim), dtype=np.complex128)
@@ -51,7 +48,7 @@ def solve_type_A(t) -> SolveReport:
     # Sorted prefix sums are bounded below by min(0, tr T), so they may dip
     # as far below zero as the trace test lets the trace.
     worst = float(-sums.min()) if sums.size else 0.0
-    rep.check("partial_sum_negativity", max(worst, 0.0), TRACE_RTOL * (1.0 + scale))
+    rep.check("partial_sum_negativity", max(worst, 0.0), numkit.TRACE_RTOL * (1.0 + scale))
     rep.info("solution_hs_norm", numkit.hs_norm(y))
     rep.matrices["Y"] = y
     rep.details["partial_sums"] = sums
@@ -119,6 +116,12 @@ def sp_defect(x, j: AntiConjugation) -> float:
     return float(np.linalg.norm(x + j.adjoint_twist(x)))
 
 
+def _require_sp(t: np.ndarray, j: AntiConjugation, scale: float) -> None:
+    """DomainError unless sp_defect(T) <= 1e-9 (1 + scale), scale = ||T||_F."""
+    if sp_defect(t, j) > 1e-9 * (1.0 + scale):
+        raise DomainError("not in sp up to tolerance")
+
+
 # ---------------------------------------------------------------------------
 # type (C): spectral pairing and solver
 
@@ -139,8 +142,7 @@ def spectral_pairing(t, j: AntiConjugation, scale: float | None = None
     if scale is None:
         scale = numkit.hs_norm(t)
     eig = numkit.hermitian_eigen(t, scale)  # rejects non-Hermitian input first
-    if sp_defect(t, j) > 1e-9 * (1.0 + scale):
-        raise DomainError("not in sp up to tolerance")
+    _require_sp(t, j, scale)
     w = eig.values
     sorted_w = np.sort(w)
     if np.abs(sorted_w + sorted_w[::-1]).max() > 1e-8 * (1.0 + scale):
@@ -213,8 +215,7 @@ def split_type_C(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
     automatically in sp; each is solved by :func:`solve_type_C`.
     """
     t = numkit.as_square(t)
-    if sp_defect(t, j) > 1e-9 * (1.0 + numkit.hs_norm(t)):
-        raise DomainError("not in sp up to tolerance")
+    _require_sp(t, j, numkit.hs_norm(t))
     t1 = (t + t.conj().T) / 2.0
     t2 = (t - t.conj().T) / 2.0j
     for name, part in (("Hermitian", t1), ("skew", t2)):

@@ -21,6 +21,9 @@ from .report import SolveReport
 # Relative magnitude floor when picking the phase-normalization pivot.
 _PIVOT_RTOL = 1e-8
 
+# Default band tolerance of the ``staircase`` certificate and command.
+BAND_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StaircaseResult:
@@ -62,8 +65,7 @@ def staircase_form(ops, selfadjoint_hint: bool = False,
         raise numkit.ShapeError("operators must share one dimension")
     if selfadjoint_hint:
         for a in mats:
-            if numkit.hermitian_defect(a) > numkit.HERMITIAN_RTOL * (1 + numkit.hs_norm(a)):
-                raise DomainError("selfadjoint_hint given but an input is not Hermitian")
+            numkit.require_hermitian(a)
 
     basis = np.zeros((dim, dim), dtype=np.complex128)
     count = 0
@@ -126,8 +128,7 @@ def verify_band(result: StaircaseResult, n_ops: int, selfadjoint: bool,
     return True
 
 
-def certify(ops, selfadjoint: bool = False,
-            tolerance: float = numkit.DEFAULT_TOL) -> SolveReport:
+def certify(ops, selfadjoint: bool = False, tolerance: float = BAND_TOL) -> SolveReport:
     """The ``staircase`` certificate: rows for U's unitary defect, U e_1 = e_1
     exactly and :func:`verify_band`; U as ``unitary``, operator i as
     ``transformed_i`` and its band profile against r * f as table ``band_i``.

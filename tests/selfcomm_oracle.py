@@ -2,9 +2,12 @@
 
 This is the pairing ``spectral_pairing`` ran before it paired the kernel in
 one pass: take the first remaining kernel vector v, append the pair
-(v, -Jt v), project the rest of the kernel off that pair and run Gram-Schmidt
-over the whole remainder again.  ``gram_schmidt`` is the full-stream
-orthonormaliser that loop used.
+(v, -Jt v) and run Gram-Schmidt over the pair and the rest of the kernel
+again.  ``gram_schmidt`` is the full-stream orthonormaliser that loop used.
+The loop once projected the rest off the pair before Gram-Schmidt, which
+measured a vector's rejection against the norm the pair left it: a unit
+kernel vector with a 1.4e-8 residual then passed a 1e-8 threshold where the
+one-pass rule, 1e-8 (1 + ||v||), rejects it.
 """
 
 from __future__ import annotations
@@ -76,13 +79,10 @@ def spectral_pairing(t, j: AntiConjugation) -> tuple[np.ndarray, np.ndarray]:
         vneg = -j.apply(v)
         plus_vectors.append(v)
         lam.append(0.0)
-        rest = kernel[:, 1:]
-        if rest.shape[1]:
-            pair = np.column_stack([v, vneg])
-            rest = rest - pair @ (pair.conj().T @ rest)
-            kernel, _ = gram_schmidt(list(rest.T), tolerance=1e-8)
-        else:
-            kernel = rest
+        # The pair leads the stream, so a kernel vector is rejected by its
+        # residual relative to its own unit norm, not to what the pair left.
+        basis, _ = gram_schmidt([v, vneg, *kernel[:, 1:].T], tolerance=1e-8)
+        kernel = basis[:, 2:]
 
     m = j.half
     if len(plus_vectors) != m:

@@ -212,15 +212,6 @@ class TestLieCommand:
             assert main([*argv, "--input", str(inp), "--out-dir", str(tmp_path)]) == 0
         assert read_report(tmp_path / "report.csv")["coefficient_negativity"]["pass"] == "1"
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        monkeypatch.setenv("COMMLAB_SEED", "123")
-        main(["lie", "killing", "--n", "3", "--seed", "999", "--out-dir", str(out1)])
-        monkeypatch.delenv("COMMLAB_SEED")
-        main(["lie", "killing", "--n", "3", "--seed", "123", "--out-dir", str(out2)])
-        assert read_report(out1 / "report.csv") == read_report(out2 / "report.csv")
-
 
 class TestMinimizeCommand:
     def test_zero_target(self, tmp_path):
@@ -247,6 +238,20 @@ class TestMinimizeCommand:
             rows = list(csv.DictReader(handle))
         assert [(r["iters"], r["stop_reason"], r["converged"]) for r in rows] == [
             ("2", "budget", "0")]
+
+    def test_seed_env_override(self, tmp_path, monkeypatch):
+        target = tmp_path / "T.txt"
+        matio.save_matrix(target, np.diag([1.0, -1.0]))
+
+        def restarts(seed, out):
+            main(["minimize", "--target", str(target), "--restarts", "2", "--max-iters",
+                  "200", "--seed", seed, "--out-dir", str(tmp_path / out)])
+            return (tmp_path / out / "restarts.csv").read_bytes()
+
+        monkeypatch.setenv("COMMLAB_SEED", "123")
+        by_env = restarts("999", "a")
+        monkeypatch.delenv("COMMLAB_SEED")
+        assert by_env == restarts("123", "b") != restarts("999", "c")
 
     def test_parallelism_flag_removed(self, tmp_path, capsys):
         target = tmp_path / "T.txt"
@@ -371,8 +376,8 @@ PARITY_CASES = {
         "solve-selfcomm --type C --input {in}/C.txt",
         "command = solve-selfcomm\ntype = C\ninput = {in}/C.txt\n"),
     "lie-killing": (
-        "lie killing --n 4 --seed 11",
-        "command = lie\naction = killing\nn = 4\nseed = 11\n"),
+        "lie killing --n 4",
+        "command = lie\naction = killing\nn = 4\n"),
     "lie-semisimple": (
         "lie semisimple --n 3",
         "command = lie\naction = semisimple\nn = 3\n"),
@@ -502,6 +507,8 @@ class TestRejections:
         ("command = staircase\nseed = 5\n", "unknown key 'seed' for staircase"),
         ("command = solve-selfcomm\nseed = 5\n", "unknown key 'seed' for solve-selfcomm"),
         ("command = seq\nseed = 5\n", "unknown key 'seed' for seq"),
+        ("command = lie\nseed = 5\n", "unknown key 'seed' for lie"),
+        ("command = lie\naction = semisimple\nseed = 5\n", "unknown key 'seed' for lie"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, body, message):
         config = tmp_path / "job.cfg"
@@ -513,8 +520,7 @@ class TestRejections:
         for command in cli.COMMANDS:
             cfg = parse_config(f"command = {command}\noutput_dir = o\nreport = r.csv\n")
             assert (cfg.output_dir, cfg.report_path) == ("o", "r.csv")
-        for command in ("lie", "minimize"):
-            assert parse_config(f"command = {command}\nseed = 3\n").seed == 3
+        assert parse_config("command = minimize\nseed = 3\n").seed == 3
 
     def test_honoured_tolerance_still_reaches_its_check(self, tmp_path, capsys):
         code = main(["anderson-verify", "--weights", "powerlog:1,-0.5,0", "--blocks", "6",
@@ -536,10 +542,6 @@ class TestActionOptions:
         (["seq", "mean", "--family", "powerlog:1,1,2"], "seq mean does not read 'family'"),
         (["seq", "mean", "--input", "v.txt", "--family", "powerlog:1,1,2"],
          "seq mean does not read 'family'"),
-        (["lie", "semisimple", "--n", "3", "--seed", "5"],
-         "lie semisimple does not read 'seed'"),
-        (["lie", "solve-sl", "--input", "T.txt", "--seed", "5"],
-         "lie solve-sl does not read 'seed'"),
     ])
     def test_argv_exits_2(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
@@ -550,8 +552,6 @@ class TestActionOptions:
         ("command = lie\ninput = T.txt\n", "lie killing does not read 'input'"),
         ("command = lie\naction = semisimple\nout = Y.txt\n",
          "lie semisimple does not read 'out'"),
-        ("command = lie\naction = semisimple\nseed = 5\n",
-         "lie semisimple does not read 'seed'"),
         ("command = lie\naction = solve-sl\ninput = T.txt\nn = 4\n",
          "lie solve-sl does not read 'n'"),
         ("command = seq\ninput = v.txt\n", "seq classify does not read 'input'"),
@@ -577,6 +577,9 @@ class TestActionOptions:
         ("staircase", ["--input", "A.txt"]),
         ("solve-selfcomm", ["--type", "A", "--input", "T.txt"]),
         ("seq", ["classify"]),
+        ("lie", ["killing"]),
+        ("lie", ["semisimple"]),
+        ("lie", ["solve-sl", "--input", "T.txt"]),
     ])
     def test_seed_rejected_where_unread(self, tmp_path, capsys, command, required):
         with pytest.raises(SystemExit) as exc:
@@ -587,6 +590,7 @@ class TestActionOptions:
 
     def test_seed_env_ignored_where_unread(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COMMLAB_SEED", "not-a-number")
+        assert main(["lie", "killing", "--n", "3", "--out-dir", str(tmp_path)]) == 0
         assert main(["lie", "semisimple", "--n", "3", "--out-dir", str(tmp_path)]) == 0
         assert main(["seq", "classify", "--family", "powerlog:1,1,2",
                      "--out-dir", str(tmp_path)]) == 0

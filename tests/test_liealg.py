@@ -188,10 +188,51 @@ class TestSolveSl:
 
 class TestCertifySl:
     def test_killing_rows(self):
-        rep = liealg.certify_sl(3, seed=5)
+        rep = liealg.certify_sl(3, killing=True)
         assert rep.command == "lie killing" and rep.passed
         assert [row.name for row in rep.checks] == ["killing_vs_closed_form", "semisimple"]
-        assert rep.checks == liealg.certify_sl(3, seed=5).checks
+        assert rep.checks == liealg.certify_sl(3, killing=True).checks
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_closed_form_row_covers_every_pair(self, monkeypatch, n):
+        # With the loop oracle's Gram in place of the library's, the row is
+        # the worst relative deviation from 2n Tr(e_i e_j) over all pairs,
+        # and both rows come from that one Gram.
+        grams = []
+
+        def oracle_gram(basis):
+            grams.append(liealg_oracle.killing_gram(basis))
+            return grams[-1]
+
+        monkeypatch.setattr(liealg, "killing_gram", oracle_gram)
+        rep = liealg.certify_sl(n, killing=True)
+        assert len(grams) == 1
+        basis = liealg.sl_basis(n - 1)
+        worst = max(abs(grams[0][i, k] - 2 * n * np.trace(x @ w))
+                    / (1.0 + abs(2 * n * np.trace(x @ w)))
+                    for i, x in enumerate(basis) for k, w in enumerate(basis))
+        assert rep.checks[0].measured == worst
+        assert rep.checks[1].measured == (0.0 if liealg_oracle.is_semisimple(basis) else 1.0)
+
+    def test_one_wrong_gram_entry_fails_the_closed_form_row(self, monkeypatch):
+        real = liealg.killing_gram
+
+        def perturbed(basis):
+            gram = real(basis)
+            gram[2, 5] += 1e-6 * (1.0 + abs(gram[2, 5]))
+            return gram
+
+        monkeypatch.setattr(liealg, "killing_gram", perturbed)
+        closed_form, semisimple = liealg.certify_sl(4, killing=True).checks
+        assert not closed_form.passed and closed_form.measured >= 1e-6
+        assert semisimple.passed
+
+    def test_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify_sl drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert liealg.certify_sl(4, killing=True).passed
 
     def test_semisimple_rows(self):
         rep = liealg.certify_sl(4)
